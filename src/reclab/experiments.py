@@ -13,7 +13,10 @@ into a shared overflow bucket.
 Horizons always use the *marginal* cylinder mass; the quenched laws vary
 with the environment around it.  Environment and trial streams are derived
 from the master seed by index, so runs are reproducible regardless of the
-thread count.
+thread count.  Models whose fiber measure is the same on every environment
+(``environment_free``, e.g. Gibbs systems) get their exact laws computed
+once per (engine, n) and shared by all environments; the limit-law table is
+built once per (parameters, r_max).
 """
 
 from __future__ import annotations
@@ -200,18 +203,41 @@ def _run_engine(config: ExperimentConfig, env, engine: str, target, n: int, hori
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def _quenched_one(config: ExperimentConfig, env_index: int) -> QuenchedResult:
+def _memoised(memo: dict, key, build):
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _quenched_one(config: ExperimentConfig, env_index: int, memo: dict) -> QuenchedResult:
+    """Rows of one environment; ``memo`` carries what the run's environments share.
+
+    Limit-law tables are shared per (parameters, r_max).  When the model's
+    fiber measure is the same on every environment (``environment_free``),
+    the exact engines' laws are shared per (engine, n) as well; Monte Carlo
+    rows always sample with their own environment's trial seed.
+    """
     window = config.window_length()
     env = config.model.draw_environment(window, environment_seed(config.master_seed, env_index))
     theta = config.model.theta(config.point)
     params = PolyaAeppliParams(t=(1.0 - theta) * config.t, p=theta)
+    shared_laws = getattr(config.model, "environment_free", False)
     rows = []
     for n in config.n_list:
         target = config.point.prefix(n)
         horizon = config.horizon(n)
         for engine in config.engines:
-            dist = _run_engine(config, env, engine, target, n, horizon, env_index)
-            theo = pa_pmf_table(params, r_max=dist.r_max)
+            def law():
+                return _run_engine(config, env, engine, target, n, horizon, env_index)
+
+            if shared_laws and engine != "monte-carlo":
+                dist = _memoised(memo, ("law", engine, n), law)
+            else:
+                dist = law()
+            theo = _memoised(
+                memo, ("table", params, dist.r_max),
+                lambda: pa_pmf_table(params, r_max=dist.r_max),
+            )
             rows.append(
                 QuenchedRow(
                     n=n,
@@ -233,14 +259,17 @@ def run_quenched(config: ExperimentConfig, threads: int = 0) -> list[QuenchedRes
     Results do not depend on the thread count.  The engines are dominated
     by fine-grained numpy calls that serialise on the GIL, so the automatic
     choice (threads=0) runs sequentially; an explicit thread count is
-    honoured for workloads where it helps.
+    honoured for workloads where it helps.  Environment 0 runs first, so
+    the laws and tables it leaves for the others are computed once.
     """
-    indices = range(config.environments)
+    memo: dict = {}
+    first = _quenched_one(config, 0, memo)
+    rest = range(1, config.environments)
     workers = threads if threads > 0 else 1
     if workers == 1 or config.environments == 1:
-        return [_quenched_one(config, i) for i in indices]
+        return [first] + [_quenched_one(config, i, memo) for i in rest]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: _quenched_one(config, i), indices))
+        return [first] + list(pool.map(lambda i: _quenched_one(config, i, memo), rest))
 
 
 def run_annealed(
@@ -278,10 +307,13 @@ def run_annealed(
                 masses=masses, tail_mass=tail,
                 provenance=rows[0].distribution.provenance, bias_bound=bias,
             )
-            theo = pa_pmf_table(
-                PolyaAeppliParams(t=(1.0 - rows[0].theta) * config.t, p=rows[0].theta),
-                r_max=r_max,
-            )
+            # the quenched rows already carry the limit law at their r_max
+            theo = rows[0].theoretical
+            if theo.r_max != r_max:
+                theo = pa_pmf_table(
+                    PolyaAeppliParams(t=(1.0 - rows[0].theta) * config.t, p=rows[0].theta),
+                    r_max=r_max,
+                )
             out.append(
                 AnnealedRow(
                     n=n,

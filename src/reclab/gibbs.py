@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Environment
+from .models import Environment, _seed_label
 from .symbolic import PeriodicPoint, TransitionMatrix, as_word
 
 __all__ = [
@@ -285,6 +285,8 @@ class GibbsSystem:
     """
 
     is_product_model = False
+    # the fiber measure is the same on every environment
+    environment_free = True
 
     def __init__(self, transitions: TransitionMatrix, potential: Potential) -> None:
         self.transitions = transitions
@@ -415,7 +417,7 @@ class GibbsSystem:
     def draw_environment(self, window_length: int, seed) -> Environment:
         window = np.zeros(window_length)
         window.setflags(write=False)
-        return Environment(window=window, source_seed=int(seed) if np.isscalar(seed) else 0)
+        return Environment(window=window, source_seed=_seed_label(seed))
 
     def fiber_cylinder_mass(self, env, w, offset: int = 0) -> float:
         return self.cylinder_mass(w)

@@ -66,7 +66,7 @@ class Environment:
     """A finite window (w_0, ..., w_{L-1}) of driving coordinates."""
 
     window: np.ndarray
-    source_seed: int
+    source_seed: int | str
 
     @property
     def length(self) -> int:
@@ -124,6 +124,8 @@ class _ProductModelBase:
     """Shared machinery: everything downstream of per-position symbol weights."""
 
     is_product_model = True
+    # fiber weights are read off the environment's coordinates
+    environment_free = False
 
     # -- hooks supplied by concrete models ---------------------------------
     def _draw_coordinates(self, rng: np.random.Generator, length: int) -> np.ndarray:
@@ -140,6 +142,9 @@ class _ProductModelBase:
 
     def validate_target_symbol(self, s: int) -> None:
         raise NotImplementedError
+
+    def validate_sampled_symbol(self, s: int) -> None:
+        """Raise when ``sample_words`` can never draw the symbol s."""
 
     # -- shared operations ---------------------------------------------------
     def draw_environment(self, window_length: int, seed) -> Environment:
@@ -211,14 +216,25 @@ class _ProductModelBase:
         raise NotImplementedError
 
 
-def _seed_label(seed) -> int:
+def _seed_label(seed) -> int | str:
+    """Provenance of an environment's seed.
+
+    An integer seed labels itself.  A SeedSequence is labelled by its
+    entropy (low 32 bits) and, when it was spawned, its spawn key as well,
+    e.g. "1/3/0", so that environments spawned from one master seed keep
+    distinct labels.
+    """
     if isinstance(seed, (int, np.integer)):
         return int(seed)
     if isinstance(seed, np.random.SeedSequence):
         ent = seed.entropy
         if isinstance(ent, (int, np.integer)):
-            return int(ent) & 0xFFFFFFFF
-        return int(ent[0]) & 0xFFFFFFFF if ent else 0
+            label = int(ent) & 0xFFFFFFFF
+        else:
+            label = int(ent[0]) & 0xFFFFFFFF if ent else 0
+        if seed.spawn_key:
+            return "/".join(str(int(v)) for v in (label, *seed.spawn_key))
+        return label
     return 0
 
 
@@ -387,6 +403,13 @@ class CountableModel(_ProductModelBase):
                 f"countable model symbols start at 3 (symbols 1, 2 carry no mass); got {s}"
             )
 
+    def validate_sampled_symbol(self, s: int) -> None:
+        if s > self.alphabet_cutoff:
+            raise ValueError(
+                f"symbol {s} lies above the sampling cutoff {self.alphabet_cutoff}: "
+                "sampled words never contain it"
+            )
+
     def _draw_coordinates(self, rng: np.random.Generator, length: int) -> np.ndarray:
         return rng.uniform(self.epsilon, 1.0, size=length)
 
@@ -427,6 +450,9 @@ class MarginalModel(_ProductModelBase):
     environment average of the quenched laws.
     """
 
+    # the averaged weights are the same on every environment
+    environment_free = True
+
     def __init__(self, base: _ProductModelBase) -> None:
         self.base = base
         self.tail_mass_bound = getattr(base, "tail_mass_bound", 0.0)
@@ -448,6 +474,9 @@ class MarginalModel(_ProductModelBase):
 
     def validate_target_symbol(self, s: int) -> None:
         self.base.validate_target_symbol(s)
+
+    def validate_sampled_symbol(self, s: int) -> None:
+        self.base.validate_sampled_symbol(s)
 
     def sample_words(self, env, start, length, trials, rng) -> np.ndarray:
         env.coordinates(start, length)

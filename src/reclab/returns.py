@@ -10,7 +10,11 @@ distribution of this count when z is drawn from a fiber measure:
 * ``exact_count_distribution`` -- exact forward dynamic programming over
   (pattern-automaton state, clamped count); the automaton is the border
   (failure-function) automaton of the target.  For Markov (Gibbs) measures
-  the chain state is carried alongside the automaton state.
+  the chain state is carried alongside the automaton state, restricted to
+  the joint states reachable from the start; their counting steps share
+  one stationary operator, so long horizons run in blocks of B steps
+  through a B-step operator built once from the plain step.  Both engines
+  share one count-shifting step.
 * ``enumerate_count_distribution`` -- brute force over every word of the
   full length; only feasible at desk scale, kept as an independent oracle.
 * ``monte_carlo_count_distribution`` -- empirical law over sampled words.
@@ -36,7 +40,7 @@ import numpy as np
 
 from .gibbs import GibbsSystem
 from .models import Environment
-from .symbolic import as_word, self_overlaps
+from .symbolic import _border_array, as_word, self_overlaps
 
 __all__ = [
     "BudgetError",
@@ -190,18 +194,6 @@ def is_rare(pattern_class: PatternClass, delta: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _border_array(symbols: tuple[int, ...]) -> list[int]:
-    border = [0] * len(symbols)
-    k = 0
-    for i in range(1, len(symbols)):
-        while k > 0 and symbols[i] != symbols[k]:
-            k = border[k - 1]
-        if symbols[i] == symbols[k]:
-            k += 1
-        border[i] = k
-    return border
-
-
 def _advance(symbols: tuple[int, ...], border: list[int], q: int, a) -> int:
     while q > 0 and symbols[q] != a:
         q = border[q - 1]
@@ -294,9 +286,14 @@ def exact_count_distribution(
 ) -> CountDistribution:
     """Exact law of the return count via automaton dynamic programming.
 
-    Complexity O(L * n * |effective alphabet| * r_max) with L = horizon + n;
-    for Markov measures the chain state multiplies in.  Exceeding
-    ``budget_cells`` raises; nothing is ever silently truncated.
+    For product measures the complexity is O(L * n * |effective alphabet| *
+    r_max) with L = horizon + n, one step per position.  For Markov
+    measures the table has J rows, the (chain, automaton) states reachable
+    from the start; short horizons take L steps of O(J**2 * r_max), long
+    ones run in blocks of B ~ sqrt(L * r_max / J) steps, for O(sqrt(L))
+    steps and O(sqrt(L * J * r_max) * J**2 * r_max) arithmetic in all.
+    ``budget_cells`` caps L * n * |chain states| * |alphabet| * (r_max + 2)
+    and exceeding it raises; nothing is ever silently truncated.
     """
     tw = _validate_target(model, target)
     n = len(tw)
@@ -346,6 +343,22 @@ def _routing_stacks(next_state, emit, n_states):
     return keep, emitting
 
 
+def _count_step(keep_op, emit_op, dist, shifted):
+    """One counting step on a (state, count) table or a stack of them.
+
+    ``keep_op`` routes the mass whose step completes no match; ``emit_op``
+    routes the mass whose step completes one, after moving its count up one
+    bin (the last bin is absorbing).  ``shifted`` is scratch space shaped
+    like ``dist``.
+    """
+    shifted[..., 0] = 0.0
+    shifted[..., 1:] = dist[..., :-1]
+    shifted[..., -1] += dist[..., -1]
+    out = keep_op @ dist
+    out += emit_op @ shifted
+    return out
+
+
 def _dp_loop(weight_rows, next_state, emit, n, bins):
     """Forward DP over (automaton state, clamped count).
 
@@ -372,10 +385,7 @@ def _dp_loop(weight_rows, next_state, emit, n, bins):
             cache[key] = ops
         keep_op, emit_op, both, has_emit = ops
         if has_emit and i >= n:
-            shifted[:, 0] = 0.0
-            shifted[:, 1:] = dist[:, :-1]
-            shifted[:, -1] += dist[:, -1]
-            dist = keep_op @ dist + emit_op @ shifted
+            dist = _count_step(keep_op, emit_op, dist, shifted)
         else:
             # completions before step n route normally but never count
             dist = both @ dist
@@ -427,18 +437,89 @@ def _exact_dp_markov(system: GibbsSystem, tw, length, n, r_max, budget_cells):
                 src = c * n + q
                 tgt = nxt[c, a] * n + next_state[a, q]
                 (emit_op if emit[a, q] else keep_op)[tgt, src] += p
+    # joint states never reached from the initial support carry no mass
+    live = _reachable(keep_op + emit_op, dist.any(axis=1))
+    keep_op = keep_op[np.ix_(live, live)]
+    emit_op = emit_op[np.ix_(live, live)]
+    dist = dist[live]
     both = keep_op + emit_op
-    has_emit = bool(emit_op.any())
+    # completions before step n route normally but never count
+    counting_from = max(k - 1, n)
+    for _ in range(k - 1, counting_from):
+        dist = both @ dist
+    return _counting_steps(keep_op, emit_op, dist, length - counting_from).sum(axis=0)
+
+
+def _reachable(adjacency, start):
+    """Indices of the states reachable from the ``start`` mask along nonzero
+    (target, source) entries of ``adjacency``."""
+    seen = start.copy()
+    frontier = start
+    while frontier.any():
+        nxt = adjacency[:, frontier].any(axis=1) & ~seen
+        seen |= nxt
+        frontier = nxt
+    return np.flatnonzero(seen)
+
+
+# The block operator holds states**2 * bins floats; above this the plain
+# loop runs instead, so memory stays that of the (state, count) table.
+_BLOCK_FLOATS_MAX = 1 << 20
+
+
+def _counting_steps(keep_op, emit_op, dist, steps):
+    """``steps`` stationary counting steps applied to the (state, count) table.
+
+    Long runs go in blocks of B steps: the B-step operator, a polynomial
+    matrix in the count truncated at the absorbing top bin, is built once by
+    running the plain step on every basis table, so it carries the plain
+    loop's rounding (repeated squaring would double the rounding error with
+    each squaring).  A block costs about bins/2 plain steps of arithmetic
+    in one call, so B ~ sqrt(steps * bins / states) balances building
+    against applying; short runs and large state spaces stay on the loop.
+    """
+    states, bins = dist.shape
+    block = max(1, round(math.sqrt(steps * bins / states)))
+    if steps >= 4 * block and states * states * bins <= _BLOCK_FLOATS_MAX:
+        power = _block_operator(keep_op, emit_op, bins, block)
+        for _ in range(steps // block):
+            dist = _apply_block(power, dist)
+        steps %= block
     shifted = np.empty_like(dist)
-    for i in range(k - 1, length):
-        if has_emit and i >= n:
-            shifted[:, 0] = 0.0
-            shifted[:, 1:] = dist[:, :-1]
-            shifted[:, -1] += dist[:, -1]
-            dist = keep_op @ dist + emit_op @ shifted
-        else:
-            dist = both @ dist
-    return dist.sum(axis=0)
+    for _ in range(steps):
+        dist = _count_step(keep_op, emit_op, dist, shifted)
+    return dist
+
+
+def _block_operator(keep_op, emit_op, bins, block):
+    """The ``block``-step operator as a (state, bins * state) matrix.
+
+    Entry [t, d * states + j] is the mass carried from state j to state t
+    while the count rises by d (by at least d in the top bin d = bins - 1).
+    Each basis table, all mass on state j with count 0, takes the plain
+    step ``block`` times.
+    """
+    states = keep_op.shape[0]
+    tables = np.zeros((states, states, bins))
+    tables[np.arange(states), np.arange(states), 0] = 1.0
+    shifted = np.empty_like(tables)
+    for _ in range(block):
+        tables = _count_step(keep_op, emit_op, tables, shifted)
+    return np.ascontiguousarray(tables.transpose(1, 2, 0)).reshape(states, bins * states)
+
+
+def _apply_block(power, dist):
+    """Apply a ``_block_operator`` to a (state, count) table."""
+    states, bins = dist.shape
+    padded = np.zeros((states, 2 * bins - 1))
+    padded[:, bins - 1 :] = dist
+    # lagged[d, j, c] = dist[j, c - d], zero for c < d
+    windows = np.lib.stride_tricks.sliding_window_view(padded, bins, axis=1)
+    lagged = np.ascontiguousarray(windows[:, ::-1].transpose(1, 0, 2))
+    # the top bin collects every count c with c + d >= bins - 1
+    suffix = np.cumsum(dist[:, ::-1], axis=1)
+    lagged[:, :, -1] = suffix.T
+    return power @ lagged.reshape(bins * states, bins)
 
 
 def enumerate_count_distribution(
@@ -525,9 +606,15 @@ def monte_carlo_count_distribution(
     """Empirical law of the return count over sampled fiber words.
 
     Sampling is chunked with one child stream per chunk, so results are
-    reproducible for a given seed regardless of scheduling.
+    reproducible for a given seed regardless of scheduling.  A target
+    symbol the sampler can never draw (above a countable model's
+    ``alphabet_cutoff``) is rejected; the exact engine handles it.
     """
     tw = _validate_target(model, target)
+    check_sampled = getattr(model, "validate_sampled_symbol", None)
+    if check_sampled is not None:
+        for s in tw:
+            check_sampled(s)
     n = len(tw)
     if trials < 1:
         raise ValueError("trials must be >= 1")
