@@ -14,6 +14,7 @@ environment variable when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import polya_aeppli as pa_mod
-from .experiments import ExperimentConfig, run_annealed, run_quenched
+from .experiments import ExperimentConfig, _group_rows, run_annealed, run_quenched
 from .gibbs import GibbsSystem, Potential, bernoulli_potential, fit_decay_factor
 from .models import CountableModel, TwoElementModel
 from .polya_aeppli import PolyaAeppliParams
@@ -207,64 +208,59 @@ def cmd_theta(args) -> int:
     return 0
 
 
+def _write_csv(path: Path, header: str, lines) -> Path:
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for cells in lines:
+            fh.write(",".join(cells) + "\n")
+    return path
+
+
+_ROW_HEADER = "n,engine,tv,mean_err,theta,N_n,tail,bias_bound"
+
+
+def _row_cells(n, engine, tv, mean_err, theta, horizon, tail, bias_bound) -> list[str]:
+    return [str(n), engine, _fmt(tv), _fmt(mean_err), _fmt(theta), str(horizon),
+            _fmt(tail), _fmt(bias_bound)]
+
+
+def _cells_of(row) -> list[str]:
+    return _row_cells(row.n, row.engine, row.tv, row.mean_abs_err, row.theta, row.horizon,
+                      row.distribution.tail_mass, row.distribution.bias_bound)
+
+
 def cmd_converge(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config = ExperimentConfig(
-            **{**config.__dict__, "master_seed": int(args.seed)}
-        )
+        config = dataclasses.replace(config, master_seed=int(args.seed))
     if args.budget_states is not None:
-        config = ExperimentConfig(
-            **{**config.__dict__, "budget_cells": int(args.budget_states)}
-        )
+        config = dataclasses.replace(config, budget_cells=int(args.budget_states))
     out = _out_dir(args)
     quenched = run_quenched(config, threads=args.threads)
 
-    outputs = []
-    quenched_path = out / "quenched.csv"
-    with open(quenched_path, "w", newline="") as fh:
-        fh.write("env_index,n,engine,tv,mean_err,theta,N_n,tail,bias_bound\n")
-        for res in quenched:
-            for row in res.rows:
-                fh.write(
-                    f"{res.env_index},{row.n},{row.engine},{_fmt(row.tv)},"
-                    f"{_fmt(row.mean_abs_err)},{_fmt(row.theta)},{row.horizon},"
-                    f"{_fmt(row.distribution.tail_mass)},{_fmt(row.distribution.bias_bound)}\n"
-                )
-    outputs.append(quenched_path)
-
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        fh.write("n,engine,tv,mean_err,theta,N_n,tail,bias_bound\n")
-        for n in config.n_list:
-            for engine in config.engines:
-                rows = [
-                    row
-                    for res in quenched
-                    for row in res.rows
-                    if row.n == n and row.engine == engine
-                ]
-                fh.write(
-                    f"{n},{engine},{_fmt(statistics.median(r.tv for r in rows))},"
-                    f"{_fmt(max(r.mean_abs_err for r in rows))},"
-                    f"{_fmt(rows[0].theta)},{rows[0].horizon},"
-                    f"{_fmt(max(r.distribution.tail_mass for r in rows))},"
-                    f"{_fmt(max(r.distribution.bias_bound for r in rows))}\n"
-                )
-    outputs.append(summary_path)
-
+    outputs = [
+        _write_csv(
+            out / "quenched.csv", "env_index," + _ROW_HEADER,
+            ([str(res.env_index)] + _cells_of(row) for res in quenched for row in res.rows),
+        )
+    ]
+    groups = _group_rows(quenched)
+    summary = []
+    for n in config.n_list:
+        for engine in config.engines:
+            rows = groups[(n, engine)]
+            summary.append(_row_cells(
+                n, engine, statistics.median(r.tv for r in rows),
+                max(r.mean_abs_err for r in rows), rows[0].theta, rows[0].horizon,
+                max(r.distribution.tail_mass for r in rows),
+                max(r.distribution.bias_bound for r in rows),
+            ))
+    outputs.append(_write_csv(out / "summary.csv", _ROW_HEADER, summary))
     if config.environments >= 2:
         annealed = run_annealed(config, quenched=quenched)
-        annealed_path = out / "annealed.csv"
-        with open(annealed_path, "w", newline="") as fh:
-            fh.write("n,engine,tv,mean_err,theta,N_n,tail,bias_bound\n")
-            for row in annealed:
-                fh.write(
-                    f"{row.n},{row.engine},{_fmt(row.tv)},{_fmt(row.mean_abs_err)},"
-                    f"{_fmt(row.theta)},{row.horizon},"
-                    f"{_fmt(row.distribution.tail_mass)},{_fmt(row.distribution.bias_bound)}\n"
-                )
-        outputs.append(annealed_path)
+        outputs.append(
+            _write_csv(out / "annealed.csv", _ROW_HEADER, (_cells_of(row) for row in annealed))
+        )
 
     manifest = RunManifest(
         config_digest=hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),

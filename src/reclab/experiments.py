@@ -127,6 +127,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class QuenchedRow:
+    """One count law against its limit law; quenched and annealed rows alike."""
+
     n: int
     engine: str
     horizon: int
@@ -135,6 +137,9 @@ class QuenchedRow:
     theoretical: Pmf
     tv: float
     mean_abs_err: float
+
+
+AnnealedRow = QuenchedRow
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,18 +147,6 @@ class QuenchedResult:
     env_index: int
     environment: object
     rows: tuple[QuenchedRow, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class AnnealedRow:
-    n: int
-    engine: str
-    horizon: int
-    theta: float
-    distribution: CountDistribution
-    theoretical: Pmf
-    tv: float
-    mean_abs_err: float
 
 
 def environment_seed(master_seed: int, env_index: int) -> np.random.SeedSequence:
@@ -173,6 +166,30 @@ def tv_distance(a, b) -> float:
     tail_b = b.tail_mass + math.fsum(bm[cut + 1 :])
     core = math.fsum(abs(x - y) for x, y in zip(am[: cut + 1], bm[: cut + 1]))
     return 0.5 * (core + abs(tail_a - tail_b))
+
+
+def _compare(config: ExperimentConfig, n: int, engine: str, horizon: int, theta: float,
+             dist: CountDistribution, theo: Pmf) -> QuenchedRow:
+    """The row comparing ``dist`` with the limit law ``theo``."""
+    return QuenchedRow(
+        n=n,
+        engine=engine,
+        horizon=horizon,
+        theta=theta,
+        distribution=dist,
+        theoretical=theo,
+        tv=tv_distance(dist, theo),
+        mean_abs_err=abs(dist.mean() - config.t),
+    )
+
+
+def _group_rows(quenched: list[QuenchedResult]) -> dict[tuple[int, str], list[QuenchedRow]]:
+    """Rows per (n, engine), in environment order."""
+    by_key: dict[tuple[int, str], list[QuenchedRow]] = {}
+    for res in quenched:
+        for row in res.rows:
+            by_key.setdefault((row.n, row.engine), []).append(row)
+    return by_key
 
 
 def _run_engine(config: ExperimentConfig, env, engine: str, target, n: int, horizon: int, env_index: int) -> CountDistribution:
@@ -238,18 +255,7 @@ def _quenched_one(config: ExperimentConfig, env_index: int, memo: dict) -> Quenc
                 memo, ("table", params, dist.r_max),
                 lambda: pa_pmf_table(params, r_max=dist.r_max),
             )
-            rows.append(
-                QuenchedRow(
-                    n=n,
-                    engine=engine,
-                    horizon=horizon,
-                    theta=theta,
-                    distribution=dist,
-                    theoretical=theo,
-                    tv=tv_distance(dist, theo),
-                    mean_abs_err=abs(dist.mean() - config.t),
-                )
-            )
+            rows.append(_compare(config, n, engine, horizon, theta, dist, theo))
     return QuenchedResult(env_index=env_index, environment=env, rows=tuple(rows))
 
 
@@ -280,10 +286,7 @@ def run_annealed(
         raise ValueError("annealed averaging needs at least 2 environments")
     if quenched is None:
         quenched = run_quenched(config, threads=threads)
-    by_key: dict[tuple[int, str], list[QuenchedRow]] = {}
-    for res in quenched:
-        for row in res.rows:
-            by_key.setdefault((row.n, row.engine), []).append(row)
+    by_key = _group_rows(quenched)
     out = []
     for n in config.n_list:
         for engine in config.engines:
@@ -314,18 +317,7 @@ def run_annealed(
                     PolyaAeppliParams(t=(1.0 - rows[0].theta) * config.t, p=rows[0].theta),
                     r_max=r_max,
                 )
-            out.append(
-                AnnealedRow(
-                    n=n,
-                    engine=engine,
-                    horizon=rows[0].horizon,
-                    theta=rows[0].theta,
-                    distribution=dist,
-                    theoretical=theo,
-                    tv=tv_distance(dist, theo),
-                    mean_abs_err=abs(dist.mean() - config.t),
-                )
-            )
+            out.append(_compare(config, n, engine, rows[0].horizon, rows[0].theta, dist, theo))
     return out
 
 

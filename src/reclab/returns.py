@@ -8,13 +8,14 @@ counts are returns, not an initial hit).  Three engines produce the
 distribution of this count when z is drawn from a fiber measure:
 
 * ``exact_count_distribution`` -- exact forward dynamic programming over
-  (pattern-automaton state, clamped count); the automaton is the border
-  (failure-function) automaton of the target.  For Markov (Gibbs) measures
-  the chain state is carried alongside the automaton state, restricted to
-  the joint states reachable from the start; their counting steps share
-  one stationary operator, so long horizons run in blocks of B steps
-  through a B-step operator built once from the plain step.  Both engines
-  share one count-shifting step.
+  ((chain state, automaton state), clamped count); the automaton is the
+  border (failure-function) automaton of the target.  One core serves
+  every model: a Gibbs system is its (k-1)-step Markov chain, a product
+  measure the one-state chain whose symbol weights vary by position.  The
+  table keeps only the joint states reachable from the start; from the
+  last change of the weights on, the counting steps share one operator,
+  so long stationary runs go in blocks of B steps through a B-step
+  operator built once from the plain step.
 * ``enumerate_count_distribution`` -- brute force over every word of the
   full length; only feasible at desk scale, kept as an independent oracle.
 * ``monte_carlo_count_distribution`` -- empirical law over sampled words.
@@ -286,14 +287,19 @@ def exact_count_distribution(
 ) -> CountDistribution:
     """Exact law of the return count via automaton dynamic programming.
 
-    For product measures the complexity is O(L * n * |effective alphabet| *
-    r_max) with L = horizon + n, one step per position.  For Markov
-    measures the table has J rows, the (chain, automaton) states reachable
-    from the start; short horizons take L steps of O(J**2 * r_max), long
-    ones run in blocks of B ~ sqrt(L * r_max / J) steps, for O(sqrt(L))
-    steps and O(sqrt(L * J * r_max) * J**2 * r_max) arithmetic in all.
-    ``budget_cells`` caps L * n * |chain states| * |alphabet| * (r_max + 2)
-    and exceeding it raises; nothing is ever silently truncated.
+    The table has J rows, the (chain, automaton) states reachable from the
+    start: n automaton states for product measures (one chain state), at
+    most |chain states| * n for Markov ones.  Positions whose weights vary
+    take one step of O(J**2 * r_max) each; from the last change of the
+    weights on (the whole horizon for Gibbs systems and ``MarginalModel``,
+    the last few positions for quenched models), the run goes in blocks of
+    B ~ sqrt(L * r_max / J) steps, for O(sqrt(L)) steps and
+    O(sqrt(L * J * r_max) * J**2 * r_max) arithmetic in all, with
+    L = horizon + n.  Rounding makes the total mass miss 1, and the mean
+    miss ``expected_return_count``, by about L * 2**-52 (relative to the
+    mean when it exceeds 1); nothing renormalises it.  ``budget_cells``
+    caps L * n * |chain states| * |alphabet| * (r_max + 2) and exceeding it
+    raises; nothing is ever silently truncated.
     """
     tw = _validate_target(model, target)
     n = len(tw)
@@ -307,29 +313,113 @@ def exact_count_distribution(
         )
     length = horizon + n
     if isinstance(model, GibbsSystem):
-        vec = _exact_dp_markov(model, tw, length, n, r_max, budget_cells)
+        tables, chain, symbols = _markov_tables, len(model.states), model.transitions.size
     else:
-        vec = _exact_dp_product(model, env, tw, length, n, r_max, budget_cells)
+        # the distinct target symbols plus the lumped "everything else" symbol
+        tables, chain, symbols = _product_tables, 1, len(set(tw)) + 1
+    cells = length * n * chain * symbols * (r_max + 2)
+    if cells > budget_cells:
+        raise BudgetError(f"exact DP needs {cells} cells, budget is {budget_cells}")
+    vec = _exact_dp(tw, length, *tables(model, env, tw, length), r_max)
     masses = tuple(float(v) for v in vec[: r_max + 1])
     tail = float(vec[r_max + 1])
     return CountDistribution(masses=masses, tail_mass=max(tail, 0.0), provenance="exact-dp")
 
 
-def _exact_dp_product(model, env, tw, length, n, r_max, budget_cells):
+def _product_tables(model, env, tw, length):
+    """A product measure as a one-state chain whose weights vary by position."""
     distinct = tuple(dict.fromkeys(tw))
-    n_eff = len(distinct) + 1  # plus the lumped "everything else" symbol
-    bins = r_max + 2
-    cells = length * n * n_eff * bins
-    if cells > budget_cells:
-        raise BudgetError(
-            f"exact DP needs {cells} cells, budget is {budget_cells}"
-        )
     weights = model.symbol_weight_matrix(env, 0, length, distinct)
     other = np.clip(1.0 - weights.sum(axis=1), 0.0, 1.0)
-    weight_rows = np.column_stack([weights, other])
+    rows = np.column_stack([weights, other])
     # the lumped symbol matches nothing in the target
-    next_state, emit = _automaton(tw, list(distinct) + [object()])
-    return _dp_loop(weight_rows, next_state, emit, n, bins)
+    return list(distinct) + [object()], [()], [1.0], rows[:, :, None, None]
+
+
+def _markov_tables(system: GibbsSystem, env, tw, length):
+    """A Gibbs system as its (k-1)-step chain: one weight table for every position."""
+    del env, tw  # the measure does not depend on the environment
+    k = system.depth
+    if length < k - 1:
+        raise ValueError(
+            f"word length {length} shorter than the chain memory {k - 1}; "
+            "use enumerate_count_distribution instead"
+        )
+    init, nxt, prob = system.chain_tables()
+    chain, size = prob.shape
+    table = np.zeros((size, chain, chain))
+    table[np.arange(size), nxt, np.arange(chain)[:, None]] = prob
+    return range(size), system.states, init, table[None]
+
+
+def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
+    """Forward DP over ((chain state, automaton state), clamped count) for
+    words of ``length`` symbols.
+
+    ``states`` are the chain states, each the tuple of alphabet indices of
+    the word's first symbols, and ``init`` their masses.  ``weights[i, a, c,
+    d]`` is the mass of reading symbol a as the i-th symbol after those
+    while the chain moves from state d to state c; the last table holds for
+    every later symbol.  Each step applies a linear operator to the table: a
+    count-preserving part and an emitting part that shifts the count axis
+    (the last bin is absorbing).  Operators are cached per distinct weight
+    table; from the last change of the table on, the steps go to
+    ``_counting_steps``.  Returns the law over the count bins.
+    """
+    n = len(tw)
+    bins = r_max + 2
+    next_state, emit = _automaton(tw, alphabet)
+    first = len(states[0])
+    joint = len(states) * n
+    dist = np.zeros((joint, bins))
+    for c, s in enumerate(states):
+        q = count = 0
+        for i, a in enumerate(s):
+            if emit[a, q] and i >= n:
+                count += 1
+            q = next_state[a, q]
+        dist[c * n + q, min(count, bins - 1)] += init[c]
+
+    keep_stack, emit_stack = _routing_stacks(next_state, emit, n)
+
+    def operator(table, stack):
+        return np.einsum("acd,aqr->cqdr", table, stack).reshape(joint, joint)
+
+    # joint states never reached from the initial support carry no mass
+    support = operator((weights != 0).any(axis=0), keep_stack + emit_stack)
+    live = _reachable(support, dist.any(axis=1))
+    dist = dist[live]
+
+    def step_operators(table):
+        keep_op = operator(table, keep_stack)[np.ix_(live, live)]
+        emit_op = operator(table, emit_stack)[np.ix_(live, live)]
+        return keep_op, emit_op, keep_op + emit_op, bool(emit_op.any())
+
+    # completions before position n route normally but never count
+    counting_from = max(n - first, 0)
+    changes = np.flatnonzero((weights[1:] != weights[:-1]).any(axis=(1, 2, 3)))
+    steady = max(counting_from, changes[-1] + 1 if changes.size else 0)
+    # hot path: the operator cache (keyed by table bytes) is read inline
+    cache: dict[bytes, tuple] = {}
+    rows = weights.reshape(len(weights), -1)
+    last = len(weights) - 1
+    shifted = np.empty_like(dist)
+    for i in range(steady):
+        j = i if i < last else last
+        key = rows[j].tobytes()
+        ops = cache.get(key)
+        if ops is None:
+            ops = cache[key] = step_operators(weights[j])
+        keep_op, emit_op, both, has_emit = ops
+        if has_emit and i >= counting_from:
+            dist = _count_step(keep_op, emit_op, dist, shifted)
+        else:
+            dist = both @ dist
+    steps = length - first
+    if steady < steps:
+        keep_op, emit_op, _, _ = step_operators(weights[-1])
+        dist = _counting_steps(keep_op, emit_op, dist, steps - steady)
+    return dist.sum(axis=0)
 
 
 def _routing_stacks(next_state, emit, n_states):
@@ -357,97 +447,6 @@ def _count_step(keep_op, emit_op, dist, shifted):
     out = keep_op @ dist
     out += emit_op @ shifted
     return out
-
-
-def _dp_loop(weight_rows, next_state, emit, n, bins):
-    """Forward DP over (automaton state, clamped count).
-
-    Each step applies a linear operator to the (state, count) table: a
-    count-preserving part and an emitting part that shifts the count axis
-    (the last bin is absorbing).  Operators are cached per distinct weight
-    row, so driving laws with few coordinate values pay the assembly once.
-    """
-    length, _ = weight_rows.shape
-    n_states = next_state.shape[1]
-    keep_stack, emit_stack = _routing_stacks(next_state, emit, n_states)
-    cache: dict[bytes, tuple] = {}
-    dist = np.zeros((n_states, bins))
-    dist[0, 0] = 1.0
-    shifted = np.empty_like(dist)
-    for i in range(length):
-        row = weight_rows[i]
-        key = row.tobytes()
-        ops = cache.get(key)
-        if ops is None:
-            keep_op = np.ascontiguousarray(np.tensordot(row, keep_stack, axes=1))
-            emit_op = np.ascontiguousarray(np.tensordot(row, emit_stack, axes=1))
-            ops = (keep_op, emit_op, keep_op + emit_op, bool(emit_op.any()))
-            cache[key] = ops
-        keep_op, emit_op, both, has_emit = ops
-        if has_emit and i >= n:
-            dist = _count_step(keep_op, emit_op, dist, shifted)
-        else:
-            # completions before step n route normally but never count
-            dist = both @ dist
-    return dist.sum(axis=0)
-
-
-def _exact_dp_markov(system: GibbsSystem, tw, length, n, r_max, budget_cells):
-    k = system.depth
-    if length < k - 1:
-        raise ValueError(
-            f"word length {length} shorter than the chain memory {k - 1}; "
-            "use enumerate_count_distribution instead"
-        )
-    init, nxt, prob = system.chain_tables()
-    n_chain = len(system.states)
-    size = system.transitions.size
-    bins = r_max + 2
-    cells = length * n * n_chain * size * bins
-    if cells > budget_cells:
-        raise BudgetError(f"exact DP needs {cells} cells, budget is {budget_cells}")
-    border = _border_array(tw)
-    next_state, emit = _automaton(tw, range(size))
-
-    # joint state: chain * automaton, flattened
-    joint = n_chain * n
-    dist = np.zeros((joint, bins))
-    for c, s in enumerate(system.states):
-        q = 0
-        count = 0
-        for i, a in enumerate(s):
-            q2 = _advance(tw, border, q, a)
-            if q2 == n:
-                if i >= n:
-                    count += 1
-                q = border[-1] if n > 1 else 0
-            else:
-                q = q2
-        dist[c * n + q, min(count, bins - 1)] += init[c]
-
-    # the chain is stationary, so one operator pair covers every step
-    keep_op = np.zeros((joint, joint))
-    emit_op = np.zeros((joint, joint))
-    for c in range(n_chain):
-        for a in range(size):
-            p = prob[c, a]
-            if p == 0.0:
-                continue
-            for q in range(n):
-                src = c * n + q
-                tgt = nxt[c, a] * n + next_state[a, q]
-                (emit_op if emit[a, q] else keep_op)[tgt, src] += p
-    # joint states never reached from the initial support carry no mass
-    live = _reachable(keep_op + emit_op, dist.any(axis=1))
-    keep_op = keep_op[np.ix_(live, live)]
-    emit_op = emit_op[np.ix_(live, live)]
-    dist = dist[live]
-    both = keep_op + emit_op
-    # completions before step n route normally but never count
-    counting_from = max(k - 1, n)
-    for _ in range(k - 1, counting_from):
-        dist = both @ dist
-    return _counting_steps(keep_op, emit_op, dist, length - counting_from).sum(axis=0)
 
 
 def _reachable(adjacency, start):
@@ -556,19 +555,29 @@ def enumerate_count_distribution(
     else:
         wmat = model.symbol_weight_matrix(env, 0, length, alphabet)
         probs = np.prod(wmat[np.arange(length)[:, None], digits], axis=0)
-    counts = np.zeros(total_words, dtype=np.int64)
-    tsyms = np.array([alphabet.index(s) for s in tw])
-    for j in range(1, horizon + 1):
-        match = np.ones(total_words, dtype=bool)
-        for d in range(n):
-            match &= digits[j + d] == tsyms[d]
-        counts += match
+    counts = _window_counts(digits.T, [alphabet.index(s) for s in tw], horizon)
     hist = np.bincount(counts, weights=probs, minlength=horizon + 1)
     return CountDistribution(
         masses=tuple(float(v) for v in hist),
         tail_mass=0.0,
         provenance="enumeration",
     )
+
+
+def _window_counts(words, target, horizon: int) -> np.ndarray:
+    """Per row of ``words`` (rows, length), the number of offsets j in
+    [1, horizon] where ``words[:, j : j + len(target)]`` equals the target.
+
+    The loop streams over j, so memory stays one match mask per row, not a
+    (rows, horizon) matrix.
+    """
+    counts = np.zeros(words.shape[0], dtype=np.int64)
+    for j in range(1, horizon + 1):
+        match = np.ones(words.shape[0], dtype=bool)
+        for d, s in enumerate(target):
+            match &= words[:, j + d] == s
+        counts += match
+    return counts
 
 
 def _full_alphabet(model) -> list[int]:
@@ -623,18 +632,12 @@ def monte_carlo_count_distribution(
     n_chunks = (trials + chunk - 1) // chunk
     children = seq.spawn(n_chunks)
     hist = np.zeros(r_max + 2, dtype=np.int64)
-    tarr = np.array(tw)
     done = 0
     for c in range(n_chunks):
         take = min(chunk, trials - done)
         rng = np.random.default_rng(children[c])
         words = model.sample_words(env, 0, length, take, rng)
-        counts = np.zeros(take, dtype=np.int64)
-        for j in range(1, horizon + 1):
-            match = np.ones(take, dtype=bool)
-            for d in range(n):
-                match &= words[:, j + d] == tarr[d]
-            counts += match
+        counts = _window_counts(words, tw, horizon)
         np.add.at(hist, np.minimum(counts, r_max + 1), 1)
         done += take
     masses = tuple(float(h) / trials for h in hist[: r_max + 1])
