@@ -262,11 +262,13 @@ def _quenched_one(config: ExperimentConfig, env_index: int, memo: dict) -> Quenc
 def run_quenched(config: ExperimentConfig, threads: int = 0) -> list[QuenchedResult]:
     """One result per environment, ordered by environment index.
 
-    Results do not depend on the thread count.  The engines are dominated
-    by fine-grained numpy calls that serialise on the GIL, so the automatic
-    choice (threads=0) runs sequentially; an explicit thread count is
-    honoured for workloads where it helps.  Environment 0 runs first, so
-    the laws and tables it leaves for the others are computed once.
+    Results do not depend on the thread count.  The automatic choice
+    (threads=0) runs sequentially.  Threads help where sampling dominates
+    and hurt where the DP does: on 2 CPUs with BLAS threads 1, two threads
+    took ``bench/configs/countable_mc.json`` from 6.8-7.6 s to 4.8-5.8 s
+    but ``configs/quenched_two_element.json`` from 4.6-4.8 s to 6.8-8.2 s.
+    Environment 0 runs first, so the laws and tables it leaves for the
+    others are computed once.
     """
     memo: dict = {}
     first = _quenched_one(config, 0, memo)
@@ -330,17 +332,13 @@ class MeanRow:
 
 
 def mean_convergence_check(config: ExperimentConfig) -> list[MeanRow]:
-    """Exact expected return counts per environment and n, against t."""
-    window = config.window_length()
-    out = []
-    for i in range(config.environments):
-        env = config.model.draw_environment(window, environment_seed(config.master_seed, i))
-        for n in config.n_list:
-            target = config.point.prefix(n)
-            expected = expected_return_count(config.model, env, target, config.horizon(n))
-            out.append(MeanRow(n=n, env_index=i, expected_count=expected,
-                               abs_err=abs(expected - config.t)))
-    return out
+    """Exact expected return counts per environment and n, against t: the
+    u = 0 case of ``overlap_count_check``."""
+    return [
+        MeanRow(n=row.n, env_index=row.env_index, expected_count=row.expected_count,
+                abs_err=abs(row.expected_count - config.t))
+        for row in overlap_count_check(config, (0,))
+    ]
 
 
 @dataclass(frozen=True)
@@ -356,6 +354,8 @@ def overlap_count_check(config: ExperimentConfig, u_list: Sequence[int]) -> list
     """Expected counts of hits to the deepened cylinder A_{n+mu} over the
     horizon of A_n, against the limit theta^u * t.  u = 0 reproduces
     ``mean_convergence_check``."""
+    if not u_list or min(u_list) < 0:
+        raise ValueError(f"u_list must be nonempty and nonnegative, got {tuple(u_list)}")
     m = config.point.period
     theta = config.model.theta(config.point)
     window = max(
@@ -367,8 +367,6 @@ def overlap_count_check(config: ExperimentConfig, u_list: Sequence[int]) -> list
         for n in config.n_list:
             horizon = config.horizon(n)
             for u in u_list:
-                if u < 0:
-                    raise ValueError("u must be nonnegative")
                 target = config.point.prefix(n + m * u)
                 expected = expected_return_count(config.model, env, target, horizon)
                 out.append(

@@ -284,7 +284,6 @@ class GibbsSystem:
     safe to share.
     """
 
-    is_product_model = False
     # the fiber measure is the same on every environment
     environment_free = True
 

@@ -123,7 +123,6 @@ class MixingReport:
 class _ProductModelBase:
     """Shared machinery: everything downstream of per-position symbol weights."""
 
-    is_product_model = True
     # fiber weights are read off the environment's coordinates
     environment_free = False
 

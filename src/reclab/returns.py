@@ -28,7 +28,13 @@ minimal inter-block distance, and the "rare" patterns whose inter-block
 distance (minus n) falls below a cutoff.  ``binomial_moment_enumeration``
 sums fiber masses over all return-time tuples, which equals the binomial
 moment E[C(count, r)], and ``rare_vs_main_split`` partitions that sum into
-its rare and main parts.
+its rare and main parts.  Both run one recurrence over placement levels:
+level k holds, per last placement, the mass of the k-tuples ending there
+in a main and a rare vector; the next placement comes after a long gap
+(g >= n, prefix sums over segments of earlier starts) or a self-overlap
+gap (an extension factor), and a gap in the rare window moves mass to the
+rare vector.  It costs horizon * r * (overlaps + 2) terms; the moment sum
+is the case with an empty rare window.
 """
 
 from __future__ import annotations
@@ -64,6 +70,9 @@ DEFAULT_BUDGET_CELLS = 1_000_000_000
 DEFAULT_BUDGET_WORDS = 1 << 22
 DEFAULT_BUDGET_TUPLES = 50_000_000
 DEFAULT_R_MAX = 64
+# weight tables of continuous coordinates never repeat, so the exact DP's
+# operator cache is emptied when it holds this many
+_OPERATOR_CACHE_MAX = 64
 
 
 class BudgetError(RuntimeError):
@@ -363,8 +372,9 @@ def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
     every later symbol.  Each step applies a linear operator to the table: a
     count-preserving part and an emitting part that shifts the count axis
     (the last bin is absorbing).  Operators are cached per distinct weight
-    table; from the last change of the table on, the steps go to
-    ``_counting_steps``.  Returns the law over the count bins.
+    table, at most ``_OPERATOR_CACHE_MAX`` at a time; from the last change
+    of the table on, the steps go to ``_counting_steps``.  Returns the law
+    over the count bins.
     """
     n = len(tw)
     bins = r_max + 2
@@ -409,6 +419,8 @@ def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
         key = rows[j].tobytes()
         ops = cache.get(key)
         if ops is None:
+            if len(cache) >= _OPERATOR_CACHE_MAX:
+                cache.clear()
             ops = cache[key] = step_operators(weights[j])
         keep_op, emit_op, both, has_emit = ops
         if has_emit and i >= counting_from:
@@ -653,14 +665,10 @@ def monte_carlo_count_distribution(
 # ---------------------------------------------------------------------------
 
 
-def _placement_rows(model, env, target, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-start-position weight rows of the target.
-
-    Returns (rows, suffix) where rows[v-1, i] is the fiber weight of
-    target[i] at absolute position v+i (v = 1..horizon) and suffix[v-1, i]
-    is the product of rows[v-1, i:].  suffix[:, 0] is the full placement
-    mass A(v).
-    """
+def _placement_suffix(model, env, target, horizon: int) -> np.ndarray:
+    """Suffix masses per start: suffix[v-1, i] (v = 1..horizon) is the product
+    of the fiber weights of target[i:] placed at absolute positions v+i
+    onwards; suffix[:, 0] is the full placement mass A(v)."""
     tw = as_word(target).symbols
     n = len(tw)
     length = horizon + n
@@ -679,10 +687,7 @@ def _placement_rows(model, env, target, horizon: int) -> tuple[np.ndarray, np.nd
         rows = np.empty((horizon, n))
         for i, s in enumerate(tw):
             rows[:, i] = wmat[1 + i : 1 + i + horizon, col_of[s]]
-    suffix = np.ones((horizon, n + 1))
-    for i in range(n - 1, -1, -1):
-        suffix[:, i] = suffix[:, i + 1] * rows[:, i]
-    return rows, suffix[:, :n]
+    return np.cumprod(rows[:, ::-1], axis=1)[:, ::-1]
 
 
 def expected_return_count(model, env: Environment, target, horizon: int) -> float:
@@ -690,7 +695,7 @@ def expected_return_count(model, env: Environment, target, horizon: int) -> floa
     if isinstance(model, GibbsSystem):
         return horizon * model.cylinder_mass(target)
     _validate_target(model, target)
-    _, suffix = _placement_rows(model, env, target, horizon)
+    suffix = _placement_suffix(model, env, target, horizon)
     return float(suffix[:, 0].sum())
 
 
@@ -708,36 +713,16 @@ def binomial_moment_enumeration(
     mass of a tuple is the fiber mass of the intersection of the shifted
     target cylinders, zero when overlapping placements conflict, and the
     whole sum equals the binomial moment E[C(count, r)] of the return
-    count.  Tuples are aggregated by the gap structure (prefix sums over
-    long gaps, explicit extension factors for the self-overlap gaps), which
-    leaves the result identical to the naive tuple-by-tuple sum.
+    count.  It is the module's placement recurrence with an empty rare
+    window, which leaves the result identical to the naive tuple-by-tuple
+    sum.
     """
     tw = _validate_target(model, target)
-    n = len(tw)
     if r < 0:
         raise ValueError("r must be nonnegative")
     if r == 0:
         return 1.0
-    if r > horizon:
-        return 0.0
-    overlaps = sorted(g for g in self_overlaps(tw) if g < n) if n >= 2 else []
-    terms = horizon * r * (len(overlaps) + 2)
-    if terms > budget_terms:
-        raise BudgetError(f"enumeration needs {terms} terms, budget is {budget_terms}")
-    _, suffix = _placement_rows(model, env, target, horizon)
-    a_mass = suffix[:, 0]
-    level = a_mass.copy()  # level[v-1] = sum over tuples ending at v
-    for _ in range(2, r + 1):
-        pref = np.concatenate(([0.0], np.cumsum(level)))  # pref[j] = sum_{u<=j}
-        new = np.zeros(horizon)
-        if horizon > n:
-            # long gaps: previous placement at any u <= v - n
-            new[n:] = a_mass[n:] * pref[1 : horizon - n + 1]
-        for g in overlaps:
-            # overlapped placement g back, times the extension factor
-            new[g:] += level[: horizon - g] * suffix[g:, n - g]
-        level = new
-    return float(level.sum())
+    return _placement_recurrence(model, env, tw, horizon, r, range(0), budget_terms)[1]
 
 
 def rare_vs_main_split(
@@ -756,94 +741,58 @@ def rare_vs_main_split(
     A return-time tuple is rare when some inter-block distance (a
     consecutive gap above ``block_gap``) minus the target length falls
     below ``delta``; the two partial sums reproduce
-    ``binomial_moment_enumeration`` exactly.  Tuples are walked
-    explicitly, with the final placement aggregated in segments of equal
-    classification.
+    ``binomial_moment_enumeration`` up to rounding.  ``budget_tuples`` caps
+    the recurrence's term count, as ``budget_terms`` does there.
     """
     tw = _validate_target(model, target)
-    n = len(tw)
     if r < 1:
         raise ValueError("r must be >= 1")
     if block_gap < period:
         raise ValueError(f"block threshold {block_gap} must be >= period {period}")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    # an inter-block gap g is rare when g - n < delta; overlap gaps are below n
+    rare_gaps = range(block_gap + 1, len(tw) + delta)
+    return _placement_recurrence(model, env, tw, horizon, r, rare_gaps, budget_tuples)
+
+
+def _placement_recurrence(
+    model, env: Environment, tw, horizon: int, r: int, rare_gaps: range, budget_terms: int
+) -> tuple[float, float]:
+    """(rare, main) fiber-mass sums over the r-fold return-time tuples (r >= 1);
+    a tuple is rare once a consecutive gap lies in ``rare_gaps``.  The
+    recurrence is the one described in the module docstring."""
     if r > horizon:
         return 0.0, 0.0
+    n = len(tw)
     overlaps = sorted(g for g in self_overlaps(tw) if g < n) if n >= 2 else []
-    nodes = horizon * (len(overlaps) + max(horizon - n, 0)) ** max(r - 2, 0)
-    if nodes > budget_tuples:
-        raise BudgetError(
-            f"rare/main split visits ~{nodes} tuples, budget is {budget_tuples}"
-        )
-    _, suffix = _placement_rows(model, env, target, horizon)
+    terms = horizon * r * (len(overlaps) + 2)
+    if terms > budget_terms:
+        raise BudgetError(f"enumeration needs {terms} terms, budget is {budget_terms}")
+    suffix = _placement_suffix(model, env, tw, horizon)
     a_mass = suffix[:, 0]
-    pref_a = np.concatenate(([0.0], np.cumsum(a_mass)))  # pref_a[j] = sum_{v<=j} A(v)
+    # the long rare gaps [lo, hi], empty when hi = lo - 1
+    lo = max(n, rare_gaps.start)
+    hi = max(rare_gaps.stop - 1, lo - 1)
+    starts = np.arange(horizon)
 
-    rare = 0.0
-    main = 0.0
-    rare_gap_max = n + delta - 1  # inter-block gaps <= this make a tuple rare
+    def gap_sums(pref, g_lo, g_hi):
+        # per placement v, the level summed over earlier u with g_lo <= v - u <= g_hi
+        return pref[np.maximum(starts - g_lo + 1, 0)] - pref[np.maximum(starts - g_hi, 0)]
 
-    def seg_sum(lo: int, hi: int) -> float:
-        # sum of A(v) for v in [lo, hi] (1-based), empty when lo > hi
-        if lo > hi:
-            return 0.0
-        return float(pref_a[hi] - pref_a[lo - 1])
-
-    def walk(u: int, remaining: int, mass: float, rare_flag: bool) -> None:
-        nonlocal rare, main
-        if remaining == 0:
-            if rare_flag:
-                rare += mass
-            else:
-                main += mass
-            return
-        if remaining == 1:
-            # overlapped placements one by one
-            for g in overlaps:
-                v = u + g
-                if v > horizon:
-                    continue
-                m2 = mass * suffix[v - 1, n - g]
-                flag = rare_flag or (g > block_gap and g <= rare_gap_max)
-                if flag:
-                    rare += m2
-                else:
-                    main += m2
-            # long placements in bulk, segmented by classification
-            lo = u + n
-            if lo > horizon:
-                return
-            in_block_hi = min(horizon, u + block_gap)
-            if in_block_hi >= lo:  # gap <= block_gap: stays within the block
-                s = mass * seg_sum(lo, in_block_hi)
-                if rare_flag:
-                    rare += s
-                else:
-                    main += s
-            inter_lo = max(lo, u + block_gap + 1)
-            rare_hi = min(horizon, u + rare_gap_max)
-            if rare_hi >= inter_lo:
-                rare += mass * seg_sum(inter_lo, rare_hi)
-            far_lo = max(inter_lo, u + rare_gap_max + 1)
-            if horizon >= far_lo:
-                s = mass * seg_sum(far_lo, horizon)
-                if rare_flag:
-                    rare += s
-                else:
-                    main += s
-            return
+    main, rare = a_mass.copy(), np.zeros(horizon)
+    for _ in range(2, r + 1):
+        pref_main = np.concatenate(([0.0], np.cumsum(main)))  # pref[j] = sum_{u<=j}
+        pref_rare = np.concatenate(([0.0], np.cumsum(rare)))
+        keep = gap_sums(pref_main, n, lo - 1) + gap_sums(pref_main, hi + 1, horizon)
+        new_main = a_mass * keep
+        new_rare = a_mass * (gap_sums(pref_rare, n, horizon) + gap_sums(pref_main, lo, hi))
         for g in overlaps:
-            v = u + g
-            if v > horizon:
-                continue
-            flag = rare_flag or (g > block_gap and g <= rare_gap_max)
-            walk(v, remaining - 1, mass * suffix[v - 1, n - g], flag)
-        for v in range(u + n, horizon + 1):
-            g = v - u
-            flag = rare_flag or (g > block_gap and g <= rare_gap_max)
-            walk(v, remaining - 1, mass * a_mass[v - 1], flag)
-
-    for v1 in range(1, horizon + 1):
-        walk(v1, r - 1, float(a_mass[v1 - 1]), False)
-    return rare, main
+            ext = suffix[g:, n - g]
+            if g in rare_gaps:
+                new_rare[g:] += (main[: horizon - g] + rare[: horizon - g]) * ext
+            else:
+                new_main[g:] += main[: horizon - g] * ext
+                new_rare[g:] += rare[: horizon - g] * ext
+        main, rare = new_main, new_rare
+    return float(rare.sum()), float(main.sum())

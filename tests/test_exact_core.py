@@ -3,8 +3,11 @@
 Stationary product measures (``MarginalModel``) run their counting steps in
 blocks like Gibbs systems; quenched product models keep every automaton
 state and stay on the plain step while their weights change; an i.i.d.
-Gibbs system is the one-chain-state case of the same core.
+Gibbs system is the one-chain-state case of the same core.  The operator
+cache stays bounded when weight tables never repeat.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +90,26 @@ def test_weights_changing_to_the_end_never_take_blocks(monkeypatch):
     assert not applied
     monkeypatch.setattr(returns, "_BLOCK_FLOATS_MAX", 0)
     assert exact_count_distribution(model, env, target, horizon).masses == law.masses
+
+
+def test_countable_dp_memory_does_not_grow_with_the_horizon():
+    # continuous coordinates never repeat a weight table, so an unbounded
+    # operator cache would keep one operator triple per position
+    model = CountableModel(0.5)
+    target = (3,) * 6
+    peaks = []
+    for horizon in (400, 1600):
+        env = model.draw_environment(horizon + len(target), 1)
+        tracemalloc.start()
+        try:
+            exact_count_distribution(model, env, target, horizon, r_max=8)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the weight table holds two floats per position: the target symbol and
+    # the lumped rest; its temporaries take a few times that
+    table_growth = (1600 - 400) * 2 * 8
+    assert peaks[1] - peaks[0] < 16 * table_growth
 
 
 def test_iid_gibbs_is_the_one_chain_state_case(monkeypatch):

@@ -221,6 +221,20 @@ def test_overlap_counts_closed_form_for_deterministic_fibers():
         assert row.expected_count == pytest.approx(horizon * mass_deep, rel=1e-12)
 
 
+@pytest.mark.parametrize("u_list", [(), (0, -1)])
+def test_overlap_count_check_rejects_u_before_any_draw(monkeypatch, u_list):
+    model = TwoElementModel(0.3, 0.7, 0.5)
+    config = ExperimentConfig(
+        model, PeriodicPoint(Word((0,))), (4, 6), 1.0, environments=2,
+        master_seed=0, engines=("exact-dp",),
+    )
+    drawn = []
+    monkeypatch.setattr(model, "draw_environment", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="u_list"):
+        overlap_count_check(config, u_list)
+    assert drawn == []
+
+
 def test_overlap_count_check(canonical_model):
     config = ExperimentConfig(
         canonical_model, PeriodicPoint(Word((0,))), (4, 10), 1.0,

@@ -357,6 +357,9 @@ def _brute_split(model, env, target, horizon, r, delta, block_gap, period):
         ("0", 14, 3, 3, 2, 1),
         ("010", 16, 2, 6, 8, 2),
         ("00", 15, 3, 2, 1, 1),
+        # r = 4; the overlap gap 3 of 0000 lies in the rare window (2, 6]
+        ("0000", 20, 4, 3, 2, 1),
+        ("010", 20, 4, 5, 2, 2),
     ],
 )
 def test_rare_split_matches_brute_force(target, horizon, r, delta, block_gap, period):
@@ -377,6 +380,18 @@ def test_rare_split_partition_identity():
     rare, main = rare_vs_main_split(model, env, "00", 40, r=2, delta=4, block_gap=1, period=1)
     total = binomial_moment_enumeration(model, env, "00", 40, 2)
     assert rare + main == pytest.approx(total, rel=1e-11)
+
+
+def test_rare_split_partitions_moment_far_past_tuple_walks():
+    # ~1e9 return-time tuples; the placement recurrence needs ~45k terms
+    model = TwoElementModel(0.3, 0.7, 0.5)
+    env = model.draw_environment(1034, 5)
+    target = "0" * 10
+    rare, main = rare_vs_main_split(model, env, target, 1024, r=4, delta=10, block_gap=5, period=1)
+    assert type(rare) is float and type(main) is float
+    assert rare > 0.0 and main > 0.0
+    total = binomial_moment_enumeration(model, env, target, 1024, 4)
+    assert rare + main == pytest.approx(total, rel=1e-12)
 
 
 def test_rare_split_r1_never_rare():
