@@ -22,6 +22,7 @@ built once per (parameters, r_max).
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,6 +34,8 @@ from .returns import (
     DEFAULT_BUDGET_CELLS,
     DEFAULT_BUDGET_WORDS,
     CountDistribution,
+    _sampled_words,
+    _window_matches,
     enumerate_count_distribution,
     exact_count_distribution,
     expected_return_count,
@@ -238,7 +241,7 @@ def _quenched_one(config: ExperimentConfig, env_index: int, memo: dict) -> Quenc
     env = config.model.draw_environment(window, environment_seed(config.master_seed, env_index))
     theta = config.model.theta(config.point)
     params = PolyaAeppliParams(t=(1.0 - theta) * config.t, p=theta)
-    shared_laws = getattr(config.model, "environment_free", False)
+    shared_laws = config.model.environment_free
     rows = []
     for n in config.n_list:
         target = config.point.prefix(n)
@@ -388,30 +391,16 @@ def theta_cluster_estimate(
     a window whose last cluster is cut off by the horizon contributes its
     returns but no closing long gap.)  Returns NaN without any returns.
     """
-    from .symbolic import as_word
-
-    tw = as_word(target).symbols
-    n = len(tw)
-    length = horizon + n
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    chunk = 2048
-    n_chunks = (trials + chunk - 1) // chunk
-    children = seq.spawn(n_chunks)
-    tarr = np.array(tw)
-    at_period = 0
-    returns_total = 0
-    done = 0
-    for c in range(n_chunks):
-        take = min(chunk, trials - done)
-        rng = np.random.default_rng(children[c])
-        words = model.sample_words(env, 0, length, take, rng)
-        match = np.ones((take, horizon), dtype=bool)
-        for d in range(n):
-            match &= words[:, 1 + d : 1 + d + horizon] == tarr[d]
-        returns_total += int(match.sum())
-        if horizon > period:
-            at_period += int((match[:, period:] & match[:, :-period]).sum())
-        done += take
+    tw = model.validate_target(target)
+    at_period = returns_total = 0
+    for words in _sampled_words(model, env, horizon + len(tw), trials, seed, chunk=2048):
+        # recent[0] is the mask of the offset ``period`` back once it is full
+        recent: deque = deque(maxlen=period)
+        for match in _window_matches(words, tw, horizon):
+            returns_total += int(match.sum())
+            if len(recent) == period:
+                at_period += int((match & recent[0]).sum())
+            recent.append(match)
     if returns_total == 0:
         return float("nan")
     return at_period / returns_total

@@ -286,6 +286,7 @@ class GibbsSystem:
 
     # the fiber measure is the same on every environment
     environment_free = True
+    tail_mass_bound = 0.0
 
     def __init__(self, transitions: TransitionMatrix, potential: Potential) -> None:
         self.transitions = transitions
@@ -313,6 +314,16 @@ class GibbsSystem:
     @property
     def depth(self) -> int:
         return self.potential.depth
+
+    @property
+    def alphabet(self) -> range:
+        return range(self.transitions.size)
+
+    def validate_target(self, target) -> tuple[int, ...]:
+        tw = as_word(target).symbols
+        if not self.transitions.word_is_admissible(tw):
+            raise ValueError(f"target {tw} is not admissible for this system")
+        return tw
 
     def cylinder_mass(self, w) -> float:
         """Exact invariant mass of the cylinder named by w (0 if inadmissible)."""
@@ -412,7 +423,35 @@ class GibbsSystem:
             state = nxt[state, sym]
         return out
 
+    def dp_width(self, tw) -> int:
+        return len(self.states) * self.transitions.size
+
+    def dp_tables(self, env, tw, length: int):
+        """The (k-1)-step chain as the exact DP's tables: one weight table for
+        every position."""
+        del env, tw  # the measure does not depend on the environment
+        if length < self.depth - 1:
+            raise ValueError(
+                f"word length {length} shorter than the chain memory {self.depth - 1}; "
+                "use enumerate_count_distribution instead"
+            )
+        init, nxt, prob = self.chain_tables()
+        chain, size = prob.shape
+        table = np.zeros((size, chain, chain))
+        table[np.arange(size), nxt, np.arange(chain)[:, None]] = prob
+        return range(size), self.states, init, table[None]
+
     # -- uniform model-protocol adapters --------------------------------------
+    def symbol_weight_matrix(self, env, start, length, symbols) -> np.ndarray:
+        """Per-position symbol weights; they exist for i.i.d. (depth-1) systems only."""
+        del env, start  # the measure does not depend on the environment
+        if self.depth != 1:
+            raise ValueError(
+                "per-position symbol weights need product (i.i.d.) fibers; this "
+                "Gibbs system is Markov"
+            )
+        return np.tile([self.cylinder_mass((s,)) for s in symbols], (length, 1))
+
     def draw_environment(self, window_length: int, seed) -> Environment:
         window = np.zeros(window_length)
         window.setflags(write=False)

@@ -22,10 +22,19 @@ tail symbols are mapped to a sentinel that never matches any cylinder.
 
 Environments are finite, explicitly sized windows of coordinates; reading
 past the window is an error, never a silent extension.
+
+Every model (``reclab.gibbs.GibbsSystem`` too) serves the engines through
+one protocol: ``validate_target``, ``alphabet`` (what ``sample_words``
+draws, complete when ``tail_mass_bound`` is 0.0), ``depth`` (1 for product
+fibers), ``environment_free``, ``dp_width`` (read before any table is
+built) and ``dp_tables`` for the exact DP, ``symbol_weight_matrix``,
+``fiber_cylinder_mass``, ``marginal_cylinder_mass``, ``sample_words`` and
+``draw_environment``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -125,6 +134,9 @@ class _ProductModelBase:
 
     # fiber weights are read off the environment's coordinates
     environment_free = False
+    depth = 1
+    tail_mass_bound = 0.0
+    alphabet: range
 
     # -- hooks supplied by concrete models ---------------------------------
     def _draw_coordinates(self, rng: np.random.Generator, length: int) -> np.ndarray:
@@ -142,10 +154,26 @@ class _ProductModelBase:
     def validate_target_symbol(self, s: int) -> None:
         raise NotImplementedError
 
-    def validate_sampled_symbol(self, s: int) -> None:
-        """Raise when ``sample_words`` can never draw the symbol s."""
-
     # -- shared operations ---------------------------------------------------
+    def validate_target(self, target) -> tuple[int, ...]:
+        tw = as_word(target).symbols
+        for s in tw:
+            self.validate_target_symbol(s)
+        return tw
+
+    def dp_width(self, tw) -> int:
+        # the distinct target symbols plus the lumped "everything else" symbol
+        return len(set(tw)) + 1
+
+    def dp_tables(self, env: Environment, tw, length: int):
+        """A product measure as a one-state chain whose weights vary by position."""
+        distinct = tuple(dict.fromkeys(tw))
+        weights = self.symbol_weight_matrix(env, 0, length, distinct)
+        other = np.clip(1.0 - weights.sum(axis=1), 0.0, 1.0)
+        rows = np.column_stack([weights, other])
+        # the lumped symbol matches nothing in the target
+        return list(distinct) + [object()], [()], [1.0], rows[:, :, None, None]
+
     def draw_environment(self, window_length: int, seed) -> Environment:
         if window_length < 1:
             raise ValueError("window_length must be >= 1")
@@ -169,8 +197,7 @@ class _ProductModelBase:
 
     def theta_closed_form(self, x: PeriodicPoint) -> float:
         out = 1.0
-        for s in x.generator.symbols:
-            self.validate_target_symbol(s)
+        for s in self.validate_target(x.generator):
             pbar = self.marginal_symbol_weight(s)
             if pbar <= 0.0:
                 raise ValueError(
@@ -245,6 +272,8 @@ class TwoElementModel(_ProductModelBase):
     driving weight must be strictly inside (0, 1) so that no one-symbol
     fiber weight reaches 1.
     """
+
+    alphabet = range(2)
 
     def __init__(self, alpha: float, beta: float, driving_p: float) -> None:
         for name, v in (("alpha", alpha), ("beta", beta), ("driving_p", driving_p)):
@@ -326,6 +355,7 @@ class CountableModel(_ProductModelBase):
             raise ValueError("alphabet_cutoff must be at least 8")
         self.epsilon = float(epsilon)
         self.alphabet_cutoff = int(alphabet_cutoff)
+        self.alphabet = range(3, self.alphabet_cutoff + 1)
         self._normalizer_cache: dict[float, float] = {}
         gmax = self.normalizer(1.0) * (1.0 + 1e-9)
         self.tail_mass_bound = (
@@ -402,13 +432,6 @@ class CountableModel(_ProductModelBase):
                 f"countable model symbols start at 3 (symbols 1, 2 carry no mass); got {s}"
             )
 
-    def validate_sampled_symbol(self, s: int) -> None:
-        if s > self.alphabet_cutoff:
-            raise ValueError(
-                f"symbol {s} lies above the sampling cutoff {self.alphabet_cutoff}: "
-                "sampled words never contain it"
-            )
-
     def _draw_coordinates(self, rng: np.random.Generator, length: int) -> np.ndarray:
         return rng.uniform(self.epsilon, 1.0, size=length)
 
@@ -452,16 +475,17 @@ class MarginalModel(_ProductModelBase):
     # the averaged weights are the same on every environment
     environment_free = True
 
-    def __init__(self, base: _ProductModelBase) -> None:
+    def __init__(self, base) -> None:
         self.base = base
-        self.tail_mass_bound = getattr(base, "tail_mass_bound", 0.0)
-        self._cdf: np.ndarray | None = None
+        self.alphabet = base.alphabet
+        self.tail_mass_bound = base.tail_mass_bound
+        self._sampler: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"MarginalModel({self.base!r})"
 
-    def _draw_coordinates(self, rng: np.random.Generator, length: int) -> np.ndarray:
-        return self.base._draw_coordinates(rng, length)
+    def draw_environment(self, window_length: int, seed) -> Environment:
+        return self.base.draw_environment(window_length, seed)
 
     def symbol_weight_matrix(self, env, start, length, symbols) -> np.ndarray:
         env.coordinates(start, length)  # keep the window-overflow contract
@@ -471,31 +495,19 @@ class MarginalModel(_ProductModelBase):
     def marginal_symbol_weight(self, s: int) -> float:
         return self.base.marginal_symbol_weight(s)
 
-    def validate_target_symbol(self, s: int) -> None:
-        self.base.validate_target_symbol(s)
-
-    def validate_sampled_symbol(self, s: int) -> None:
-        self.base.validate_sampled_symbol(s)
+    def validate_target(self, target) -> tuple[int, ...]:
+        return self.base.validate_target(target)
 
     def sample_words(self, env, start, length, trials, rng) -> np.ndarray:
+        """Inverse-CDF draws over the base's alphabet; past its last symbol lies
+        the sentinel when the alphabet is truncated, else that last symbol."""
         env.coordinates(start, length)
-        if isinstance(self.base, TwoElementModel):
-            p0 = self.base.marginal_symbol_weight(0)
-            return (rng.random((trials, length)) >= p0).astype(np.int8)
-        if isinstance(self.base, CountableModel):
-            if self._cdf is None:
-                syms = np.arange(3, self.base.alphabet_cutoff + 1)
-                self._cdf = np.cumsum(
-                    [self.base.marginal_symbol_weight(int(s)) for s in syms]
-                )
-            u = rng.random((trials, length))
-            idx = np.searchsorted(self._cdf, u, side="right")
-            out = idx + 3
-            out[idx >= len(self._cdf)] = SENTINEL_SYMBOL
-            return out
-        raise NotImplementedError(
-            f"no marginal sampler for {type(self.base).__name__}"
-        )
+        if self._sampler is None:
+            cdf = np.cumsum([self.base.marginal_symbol_weight(s) for s in self.alphabet])
+            past = SENTINEL_SYMBOL if self.tail_mass_bound > 0.0 else self.alphabet[-1]
+            self._sampler = cdf, np.append(np.asarray(self.alphabet), past)
+        cdf, symbols = self._sampler
+        return symbols[np.searchsorted(cdf, rng.random((trials, length)), side="right")]
 
     def mixing_profile(self, k_max: int = 16) -> MixingProfile:
         return self.base.mixing_profile(k_max)
@@ -547,30 +559,27 @@ def check_psi_mixing(
     )
 
 
-def _gap_fills(alphabet: Sequence[int], k: int):
-    if k == 0:
-        yield ()
-        return
-    stack = [()]
-    for _ in range(k):
-        stack = [g + (a,) for g in stack for a in alphabet]
-    yield from stack
+def _gap_expansion(model, a: Word, b: Word, k: int, mass) -> float | None:
+    """Sum of ``mass`` over the full cylinders A.g.B, g over all gap words of
+    length k, when the alphabet is complete and that is at most 4096 words
+    (2**12 for two symbols); None otherwise."""
+    if model.tail_mass_bound > 0.0 or len(model.alphabet) ** k > 4096:
+        return None
+    gaps = itertools.product(model.alphabet, repeat=k)
+    return sum(mass(Word(a.symbols + gap + b.symbols)) for gap in gaps)
 
 
 def _marginal_joint_mass(model, a: Word, b: Word, k: int) -> float:
     """Mass of {A at 0} intersect {B at |A|+k} under the marginal measure.
 
-    For a finite alphabet and a small gap the intersection is expanded as a
-    sum of full cylinders A.g.B over all gap words g, which exercises the
+    For a complete alphabet and a small gap the intersection is expanded as
+    a sum of full cylinders A.g.B over all gap words g, which exercises the
     independence claim for real instead of assuming it; otherwise the gap
     positions are integrated out directly.
     """
-    if isinstance(model, TwoElementModel) and k <= 12:
-        total = 0.0
-        for gap in _gap_fills((0, 1), k):
-            merged = a.symbols + gap + b.symbols
-            total += model.marginal_cylinder_mass(Word(merged))
-        return total
+    expanded = _gap_expansion(model, a, b, k, model.marginal_cylinder_mass)
+    if expanded is not None:
+        return expanded
     out = 1.0
     for s in a.symbols + b.symbols:
         out *= model.marginal_symbol_weight(s)
@@ -578,12 +587,11 @@ def _marginal_joint_mass(model, a: Word, b: Word, k: int) -> float:
 
 
 def _fiber_joint_mass(model, env: Environment, a: Word, b: Word, k: int, offset: int) -> float:
-    if isinstance(model, TwoElementModel) and k <= 12:
-        total = 0.0
-        for gap in _gap_fills((0, 1), k):
-            merged = a.symbols + gap + b.symbols
-            total += model.fiber_cylinder_mass(env, Word(merged), offset)
-        return total
+    expanded = _gap_expansion(
+        model, a, b, k, lambda w: model.fiber_cylinder_mass(env, w, offset)
+    )
+    if expanded is not None:
+        return expanded
     span = len(a) + k + len(b)
     symbols = a.symbols + b.symbols
     mat = model.symbol_weight_matrix(env, offset, span, symbols)

@@ -20,6 +20,13 @@ distribution of this count when z is drawn from a fiber measure:
   full length; only feasible at desk scale, kept as an independent oracle.
 * ``monte_carlo_count_distribution`` -- empirical law over sampled words.
 
+Each engine checks the target with the model's ``validate_target`` and
+reads only the protocol listed in ``reclab.models``: the DP ``dp_width``
+and ``dp_tables``; enumeration a complete ``alphabet``, ``depth`` and
+``symbol_weight_matrix``, or ``fiber_cylinder_mass`` per word when
+``depth`` > 1; Monte Carlo ``sample_words``, ``alphabet`` and
+``tail_mass_bound``; the moment layer ``symbol_weight_matrix``.
+
 The module also implements the return-pattern taxonomy used by the moment
 method: increasing return-time tuples, their decomposition into blocks of
 immediate returns (consecutive gaps at most M) separated by long returns
@@ -45,7 +52,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .gibbs import GibbsSystem
 from .models import Environment
 from .symbolic import _border_array, as_word, self_overlaps
 
@@ -136,7 +142,7 @@ def count_returns(z, target, horizon: int) -> int:
             f"word of length {len(zw)} too short for horizon {horizon} and "
             f"target length {n}"
         )
-    return sum(1 for j in range(1, horizon + 1) if zw[j : j + n] == tw)
+    return int(_window_counts(np.array([zw]), tw, horizon)[0])
 
 
 def observation_time(t: float, cylinder_mass: float) -> int:
@@ -275,14 +281,14 @@ class CountDistribution:
                 )
 
 
-def _validate_target(model, target) -> tuple[int, ...]:
-    tw = as_word(target).symbols
-    if hasattr(model, "validate_target_symbol"):
-        for s in tw:
-            model.validate_target_symbol(s)
-    elif isinstance(model, GibbsSystem):
-        if not model.transitions.word_is_admissible(tw):
-            raise ValueError(f"target {tw} is not admissible for this system")
+def _checked_target(model, target, horizon: int, r_max: int = 0) -> tuple[int, ...]:
+    """The entry check every engine runs: the target's symbols, once the model
+    accepts them and the horizon and ``r_max`` are nonnegative."""
+    tw = model.validate_target(target)
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative")
     return tw
 
 
@@ -310,55 +316,20 @@ def exact_count_distribution(
     caps L * n * |chain states| * |alphabet| * (r_max + 2) and exceeding it
     raises; nothing is ever silently truncated.
     """
-    tw = _validate_target(model, target)
+    tw = _checked_target(model, target, horizon, r_max)
     n = len(tw)
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
     if horizon == 0:
         return CountDistribution(
             masses=(1.0,) + (0.0,) * r_max, tail_mass=0.0, provenance="exact-dp"
         )
     length = horizon + n
-    if isinstance(model, GibbsSystem):
-        tables, chain, symbols = _markov_tables, len(model.states), model.transitions.size
-    else:
-        # the distinct target symbols plus the lumped "everything else" symbol
-        tables, chain, symbols = _product_tables, 1, len(set(tw)) + 1
-    cells = length * n * chain * symbols * (r_max + 2)
+    cells = length * n * model.dp_width(tw) * (r_max + 2)
     if cells > budget_cells:
         raise BudgetError(f"exact DP needs {cells} cells, budget is {budget_cells}")
-    vec = _exact_dp(tw, length, *tables(model, env, tw, length), r_max)
+    vec = _exact_dp(tw, length, *model.dp_tables(env, tw, length), r_max)
     masses = tuple(float(v) for v in vec[: r_max + 1])
     tail = float(vec[r_max + 1])
     return CountDistribution(masses=masses, tail_mass=max(tail, 0.0), provenance="exact-dp")
-
-
-def _product_tables(model, env, tw, length):
-    """A product measure as a one-state chain whose weights vary by position."""
-    distinct = tuple(dict.fromkeys(tw))
-    weights = model.symbol_weight_matrix(env, 0, length, distinct)
-    other = np.clip(1.0 - weights.sum(axis=1), 0.0, 1.0)
-    rows = np.column_stack([weights, other])
-    # the lumped symbol matches nothing in the target
-    return list(distinct) + [object()], [()], [1.0], rows[:, :, None, None]
-
-
-def _markov_tables(system: GibbsSystem, env, tw, length):
-    """A Gibbs system as its (k-1)-step chain: one weight table for every position."""
-    del env, tw  # the measure does not depend on the environment
-    k = system.depth
-    if length < k - 1:
-        raise ValueError(
-            f"word length {length} shorter than the chain memory {k - 1}; "
-            "use enumerate_count_distribution instead"
-        )
-    init, nxt, prob = system.chain_tables()
-    chain, size = prob.shape
-    table = np.zeros((size, chain, chain))
-    table[np.arange(size), nxt, np.arange(chain)[:, None]] = prob
-    return range(size), system.states, init, table[None]
 
 
 def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
@@ -546,24 +517,25 @@ def enumerate_count_distribution(
     model's full alphabet is finite and alphabet^(horizon+n) fits the
     budget.
     """
-    tw = _validate_target(model, target)
-    n = len(tw)
-    length = horizon + n
-    alphabet = _full_alphabet(model)
+    tw = _checked_target(model, target, horizon)
+    length = horizon + len(tw)
+    if model.tail_mass_bound > 0.0:
+        raise ValueError(
+            f"{type(model).__name__} has no finite full alphabet; exhaustive "
+            "enumeration is not available"
+        )
+    alphabet = model.alphabet
     total_words = len(alphabet) ** length
     if total_words > budget_words:
         raise BudgetError(
             f"enumeration needs {total_words} words, budget is {budget_words}"
         )
     digits = _all_words(len(alphabet), length)  # (length, total_words)
-    if isinstance(model, GibbsSystem):
-        if model.depth == 1 and model.transitions.is_full():
-            base = np.array([model.cylinder_mass((s,)) for s in alphabet])
-            probs = np.prod(base[digits], axis=0)
-        else:
-            probs = np.array(
-                [model.cylinder_mass(tuple(digits[:, w])) for w in range(total_words)]
-            )
+    if model.depth > 1:
+        words = np.asarray(alphabet)[digits]
+        probs = np.array(
+            [model.fiber_cylinder_mass(env, tuple(words[:, w])) for w in range(total_words)]
+        )
     else:
         wmat = model.symbol_weight_matrix(env, 0, length, alphabet)
         probs = np.prod(wmat[np.arange(length)[:, None], digits], axis=0)
@@ -576,33 +548,37 @@ def enumerate_count_distribution(
     )
 
 
-def _window_counts(words, target, horizon: int) -> np.ndarray:
-    """Per row of ``words`` (rows, length), the number of offsets j in
-    [1, horizon] where ``words[:, j : j + len(target)]`` equals the target.
+def _sampled_words(model, env: Environment, length: int, trials: int, seed, chunk: int):
+    """``trials`` sampled words of ``length`` symbols in chunks of at most
+    ``chunk`` rows, one child stream of ``seed`` per chunk, so the draws do
+    not depend on how the chunks are scheduled."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    for c, child in enumerate(seq.spawn((trials + chunk - 1) // chunk)):
+        take = min(chunk, trials - c * chunk)
+        yield model.sample_words(env, 0, length, take, np.random.default_rng(child))
 
-    The loop streams over j, so memory stays one match mask per row, not a
-    (rows, horizon) matrix.
+
+def _window_matches(words, target, horizon: int):
+    """For j = 1..horizon in turn, the mask of the rows of ``words`` (rows,
+    length) whose window ``words[:, j : j + len(target)]`` equals the target.
+
+    The masks stream over j, so a caller holds one mask per row at a time,
+    not a (rows, horizon) matrix.
     """
-    counts = np.zeros(words.shape[0], dtype=np.int64)
     for j in range(1, horizon + 1):
         match = np.ones(words.shape[0], dtype=bool)
         for d, s in enumerate(target):
             match &= words[:, j + d] == s
+        yield match
+
+
+def _window_counts(words, target, horizon: int) -> np.ndarray:
+    """Per row of ``words``, the number of offsets j in [1, horizon] where the
+    target occurs."""
+    counts = np.zeros(words.shape[0], dtype=np.int64)
+    for match in _window_matches(words, target, horizon):
         counts += match
     return counts
-
-
-def _full_alphabet(model) -> list[int]:
-    if isinstance(model, GibbsSystem):
-        return list(range(model.transitions.size))
-    from .models import TwoElementModel
-
-    if isinstance(model, TwoElementModel):
-        return [0, 1]
-    raise ValueError(
-        f"{type(model).__name__} has no finite full alphabet; exhaustive "
-        "enumeration is not available"
-    )
 
 
 def _all_words(alphabet_size: int, length: int) -> np.ndarray:
@@ -631,30 +607,22 @@ def monte_carlo_count_distribution(
     symbol the sampler can never draw (above a countable model's
     ``alphabet_cutoff``) is rejected; the exact engine handles it.
     """
-    tw = _validate_target(model, target)
-    check_sampled = getattr(model, "validate_sampled_symbol", None)
-    if check_sampled is not None:
-        for s in tw:
-            check_sampled(s)
-    n = len(tw)
+    tw = _checked_target(model, target, horizon, r_max)
+    for s in tw:
+        if s not in model.alphabet:
+            raise ValueError(
+                f"symbol {s} lies outside the sampled alphabet {model.alphabet}, "
+                "past the sampling cutoff: sampled words never contain it"
+            )
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    length = horizon + n
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    n_chunks = (trials + chunk - 1) // chunk
-    children = seq.spawn(n_chunks)
     hist = np.zeros(r_max + 2, dtype=np.int64)
-    done = 0
-    for c in range(n_chunks):
-        take = min(chunk, trials - done)
-        rng = np.random.default_rng(children[c])
-        words = model.sample_words(env, 0, length, take, rng)
+    for words in _sampled_words(model, env, horizon + len(tw), trials, seed, chunk):
         counts = _window_counts(words, tw, horizon)
         np.add.at(hist, np.minimum(counts, r_max + 1), 1)
-        done += take
     masses = tuple(float(h) / trials for h in hist[: r_max + 1])
     tail = float(hist[r_max + 1]) / trials
-    bias = horizon * getattr(model, "tail_mass_bound", 0.0)
+    bias = horizon * model.tail_mass_bound
     return CountDistribution(
         masses=masses, tail_mass=tail, provenance="monte-carlo", bias_bound=bias
     )
@@ -671,30 +639,22 @@ def _placement_suffix(model, env, target, horizon: int) -> np.ndarray:
     onwards; suffix[:, 0] is the full placement mass A(v)."""
     tw = as_word(target).symbols
     n = len(tw)
-    length = horizon + n
-    if isinstance(model, GibbsSystem):
-        if model.depth != 1 or not model.transitions.is_full():
-            raise ValueError(
-                "placement enumeration needs product (i.i.d.) fibers; this "
-                "Gibbs system is Markov"
-            )
-        base = np.array([model.cylinder_mass((s,)) for s in tw])
-        rows = np.tile(base, (horizon, 1))
-    else:
-        distinct = tuple(dict.fromkeys(tw))
-        col_of = {s: i for i, s in enumerate(distinct)}
-        wmat = model.symbol_weight_matrix(env, 0, length, distinct)
-        rows = np.empty((horizon, n))
-        for i, s in enumerate(tw):
-            rows[:, i] = wmat[1 + i : 1 + i + horizon, col_of[s]]
+    distinct = tuple(dict.fromkeys(tw))
+    col_of = {s: i for i, s in enumerate(distinct)}
+    wmat = model.symbol_weight_matrix(env, 0, horizon + n, distinct)
+    rows = np.empty((horizon, n))
+    for i, s in enumerate(tw):
+        rows[:, i] = wmat[1 + i : 1 + i + horizon, col_of[s]]
     return np.cumprod(rows[:, ::-1], axis=1)[:, ::-1]
 
 
 def expected_return_count(model, env: Environment, target, horizon: int) -> float:
-    """Exact E[count]: the sum of fiber masses of the target at offsets 1..horizon."""
-    if isinstance(model, GibbsSystem):
-        return horizon * model.cylinder_mass(target)
-    _validate_target(model, target)
+    """Exact E[count]: the sum of fiber masses of the target at offsets 1..horizon;
+    horizon times the cylinder mass when the measure is shift-invariant
+    (``environment_free``)."""
+    _checked_target(model, target, horizon)
+    if model.environment_free:
+        return horizon * model.marginal_cylinder_mass(target)
     suffix = _placement_suffix(model, env, target, horizon)
     return float(suffix[:, 0].sum())
 
@@ -717,7 +677,7 @@ def binomial_moment_enumeration(
     window, which leaves the result identical to the naive tuple-by-tuple
     sum.
     """
-    tw = _validate_target(model, target)
+    tw = _checked_target(model, target, horizon)
     if r < 0:
         raise ValueError("r must be nonnegative")
     if r == 0:
@@ -744,7 +704,7 @@ def rare_vs_main_split(
     ``binomial_moment_enumeration`` up to rounding.  ``budget_tuples`` caps
     the recurrence's term count, as ``budget_terms`` does there.
     """
-    tw = _validate_target(model, target)
+    tw = _checked_target(model, target, horizon)
     if r < 1:
         raise ValueError("r must be >= 1")
     if block_gap < period:

@@ -1,0 +1,188 @@
+"""The engines against the model protocol alone.
+
+A toy model that implements only the protocol (no reclab base class) runs
+through every engine; the shared entry check refuses bad arguments on every
+engine; random Markov Gibbs systems on constrained shifts keep the exact DP
+equal to enumeration; the streaming window counter keeps the integers of the
+plain slice comparisons.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from reclab import (
+    BudgetError,
+    Environment,
+    GibbsSystem,
+    MarginalModel,
+    Potential,
+    TransitionMatrix,
+    TwoElementModel,
+    as_word,
+    binomial_moment_enumeration,
+    count_returns,
+    enumerate_count_distribution,
+    exact_count_distribution,
+    expected_return_count,
+    monte_carlo_count_distribution,
+    rare_vs_main_split,
+    theta_cluster_estimate,
+)
+
+
+class ToyModel:
+    """Three symbols with weights (u/2, (1 - u)/2, 1/2) at coordinate u, so the
+    fiber weights vary by position; the model protocol and nothing else."""
+
+    alphabet = range(3)
+    tail_mass_bound = 0.0
+    depth = 1
+    environment_free = False
+
+    def draw_environment(self, window_length, seed):
+        rng = np.random.default_rng(seed)
+        return Environment(window=rng.random(window_length), source_seed=seed)
+
+    def validate_target(self, target):
+        tw = as_word(target).symbols
+        if any(s not in self.alphabet for s in tw):
+            raise ValueError(f"toy symbols are 0, 1, 2; got {tw}")
+        return tw
+
+    def symbol_weight_matrix(self, env, start, length, symbols):
+        u = env.coordinates(start, length)
+        table = np.column_stack([u / 2, (1 - u) / 2, np.full(length, 0.5)])
+        return table[:, list(symbols)]
+
+    def marginal_symbol_weight(self, s):
+        return (0.25, 0.25, 0.5)[s]
+
+    def dp_width(self, tw):
+        return len(self.alphabet)
+
+    def dp_tables(self, env, tw, length):
+        # one chain state and every symbol in its own column, none lumped
+        weights = self.symbol_weight_matrix(env, 0, length, self.alphabet)
+        return list(self.alphabet), [()], [1.0], weights[:, :, None, None]
+
+    def sample_words(self, env, start, length, trials, rng):
+        cdf = np.cumsum(self.symbol_weight_matrix(env, start, length, self.alphabet), axis=1)
+        u = rng.random((trials, length, 1))
+        return np.minimum((u >= cdf[None]).sum(axis=2), 2)
+
+
+@pytest.mark.parametrize("target, horizon", [((0, 2), 8), ((2, 2, 2), 7), ((1, 0, 1), 6)])
+def test_toy_model_runs_every_engine(target, horizon):
+    toy = ToyModel()
+    env = toy.draw_environment(horizon + len(target), 5)
+    dp = exact_count_distribution(toy, env, target, horizon, r_max=horizon)
+    brute = enumerate_count_distribution(toy, env, target, horizon)
+    np.testing.assert_allclose(dp.masses, brute.masses, rtol=0, atol=1e-12)
+    assert dp.tail_mass <= 1e-12
+
+    trials = 20_000
+    mc = monte_carlo_count_distribution(toy, env, target, horizon, trials, seed=3, r_max=horizon)
+    for r in range(horizon + 1):
+        se = math.sqrt(max(dp.masses[r] * (1 - dp.masses[r]), 1e-12) / trials)
+        assert abs(mc.masses[r] - dp.masses[r]) <= 4 * se + 1e-9
+
+    for k in range(4):
+        moment = binomial_moment_enumeration(toy, env, target, horizon, k)
+        assert moment == pytest.approx(dp.binomial_moment(k), rel=1e-10, abs=1e-12)
+    assert expected_return_count(toy, env, target, horizon) == pytest.approx(dp.mean(), abs=1e-12)
+
+
+def test_marginal_model_of_the_toy_samples_and_runs_the_dp():
+    marg = MarginalModel(ToyModel())
+    env = marg.draw_environment(40, 2)
+    words = marg.sample_words(env, 0, 40, 5_000, np.random.default_rng(4))
+    for s, p in enumerate((0.25, 0.25, 0.5)):
+        assert abs((words == s).mean() - p) <= 4 * math.sqrt(p * (1 - p) / words.size)
+    dp = exact_count_distribution(marg, env, (2, 0), 30, r_max=30)
+    assert dp.mean() == pytest.approx(30 * 0.5 * 0.25, abs=1e-12)
+
+
+TWO = TwoElementModel(0.3, 0.7, 0.5)
+ENV = TWO.draw_environment(20, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: exact_count_distribution(TWO, ENV, "01", -1), id="exact-dp"),
+        pytest.param(lambda: exact_count_distribution(TWO, ENV, "01", 5, r_max=-1),
+                     id="exact-dp-r-max"),
+        pytest.param(lambda: enumerate_count_distribution(TWO, ENV, "01", -1), id="enumeration"),
+        pytest.param(lambda: monte_carlo_count_distribution(TWO, ENV, "01", -1, 10, 0),
+                     id="monte-carlo"),
+        pytest.param(lambda: monte_carlo_count_distribution(TWO, ENV, "01", 5, 10, 0, r_max=-1),
+                     id="monte-carlo-r-max"),
+        pytest.param(lambda: binomial_moment_enumeration(TWO, ENV, "01", -1, 2), id="moments"),
+        pytest.param(lambda: rare_vs_main_split(TWO, ENV, "01", -1, 2, 2, 2, 1), id="rare-split"),
+        pytest.param(lambda: expected_return_count(TWO, ENV, "01", -1), id="expected-count"),
+    ],
+)
+def test_every_engine_rejects_a_negative_horizon_or_r_max(call):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call()
+
+
+def test_dp_budget_refusal_comes_before_any_horizon_sized_table():
+    env = TWO.draw_environment(100, 0)
+    with pytest.raises(BudgetError):
+        exact_count_distribution(TWO, env, "01", 10**9)
+
+
+@st.composite
+def _markov_systems(draw):
+    """A Gibbs system of depth 2 or 3 on a mixing, constrained shift."""
+    size = draw(st.integers(min_value=2, max_value=3))
+    entries = draw(st.lists(st.integers(0, 1), min_size=size * size, max_size=size * size))
+    transitions = TransitionMatrix(np.reshape(entries, (size, size)))
+    assume(not transitions.is_full() and transitions.is_topologically_mixing())
+    depth = draw(st.integers(min_value=2, max_value=3))
+    words = transitions.admissible_tuples(depth)
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(words), max_size=len(words)))
+    return GibbsSystem(transitions, Potential(depth, dict(zip(words, values))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_markov_systems(), st.data())
+def test_markov_dp_equals_enumeration_on_random_constrained_shifts(system, data):
+    size = system.transitions.size
+    n = data.draw(st.integers(min_value=1, max_value=3), label="n")
+    target = data.draw(st.sampled_from(system.transitions.admissible_tuples(n)), label="target")
+    # at most 2**11 or 3**7 words, each weighed through cylinder_mass
+    longest = 11 if size == 2 else 7
+    horizon = data.draw(st.integers(min_value=1, max_value=longest - n), label="horizon")
+    dp = exact_count_distribution(system, None, target, horizon, r_max=horizon)
+    brute = enumerate_count_distribution(system, None, target, horizon)
+    np.testing.assert_allclose(dp.masses, brute.masses, rtol=0, atol=1e-12)
+    assert dp.tail_mass <= 1e-12
+
+
+def test_count_returns_matches_the_slice_comparison():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        z = tuple(int(s) for s in rng.integers(0, 2, 60))
+        for target in ((0,), (0, 1), (1, 1, 1), (0, 1, 1, 0)):
+            naive = sum(1 for j in range(1, 51) if z[j : j + len(target)] == target)
+            assert count_returns(z, target, 50) == naive
+
+
+@pytest.mark.parametrize("target, period", [("0", 1), ("000", 1), ("0101", 2), ("010010", 3)])
+def test_theta_estimate_matches_the_match_matrix(target, period):
+    env = TWO.draw_environment(200, 7)
+    horizon, trials = 150, 1_500  # one sampling chunk: one child stream of the seed
+    est = theta_cluster_estimate(TWO, env, target, period, horizon, trials, seed=1)
+    child = np.random.SeedSequence(1).spawn(1)[0]
+    words = TWO.sample_words(env, 0, horizon + len(target), trials, np.random.default_rng(child))
+    match = np.ones((trials, horizon), dtype=bool)
+    for d, s in enumerate(as_word(target).symbols):
+        match &= words[:, 1 + d : 1 + d + horizon] == s
+    at_period = (match[:, period:] & match[:, :-period]).sum()
+    assert est == at_period / match.sum()
