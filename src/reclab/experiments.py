@@ -266,10 +266,12 @@ def run_quenched(config: ExperimentConfig, threads: int = 0) -> list[QuenchedRes
     """One result per environment, ordered by environment index.
 
     Results do not depend on the thread count.  The automatic choice
-    (threads=0) runs sequentially.  Threads help where sampling dominates
-    and hurt where the DP does: on 2 CPUs with BLAS threads 1, two threads
-    took ``bench/configs/countable_mc.json`` from 6.8-7.6 s to 4.8-5.8 s
-    but ``configs/quenched_two_element.json`` from 4.6-4.8 s to 6.8-8.2 s.
+    (threads=0) runs sequentially.  Threads help a little where sampling
+    weighs and hurt where the DP dominates: on 2 CPUs with BLAS threads 1
+    (4 alternating runs each), two threads took
+    ``bench/configs/countable_mc.json`` (seed 1) from 2.1-2.3 s to
+    1.8-2.2 s but ``configs/quenched_two_element.json`` from 4.4-5.0 s to
+    7.6-8.0 s.
     Environment 0 runs first, so the laws and tables it leaves for the
     others are computed once.
     """

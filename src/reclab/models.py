@@ -17,8 +17,11 @@ depending on the driving coordinate.  ``CountableModel`` is an infinite-
 alphabet family driven by a uniform coordinate u in [eps, 1], with symbol
 weights proportional to 1/(n log^{1+u} n) for n >= 3; the alphabet is
 truncated at a cutoff S for sampling, and the neglected mass is certified
-by an integral bound and carried around as ``tail_mass_bound``.  Sampled
-tail symbols are mapped to a sentinel that never matches any cylinder.
+by an integral bound and carried around as ``tail_mass_bound``.  Words from
+``sample_words`` carry a sentinel where they draw past the cutoff; it never
+matches a cylinder.  The sentinel is a detail of ``sample_words`` only:
+Monte Carlo on product fibers draws each position straight into its class
+(a target symbol or "other") and never forms a word.
 
 Environments are finite, explicitly sized windows of coordinates; reading
 past the window is an error, never a silent extension.
@@ -344,8 +347,8 @@ class CountableModel(_ProductModelBase):
 
     by comparison of the tail sum with the integral of 1/(x log^{1+eps} x).
     The family decays so slowly that no practical cutoff makes this bound
-    small; it is therefore reported, not hidden, and sampled tail draws are
-    mapped to ``SENTINEL_SYMBOL`` (which never matches a target cylinder).
+    small; it is therefore reported, not hidden, and ``sample_words`` maps
+    tail draws to ``SENTINEL_SYMBOL`` (which never matches a target cylinder).
     """
 
     def __init__(self, epsilon: float, alphabet_cutoff: int = 16384) -> None:
@@ -575,15 +578,49 @@ def _marginal_joint_mass(model, a: Word, b: Word, k: int) -> float:
     For a complete alphabet and a small gap the intersection is expanded as
     a sum of full cylinders A.g.B over all gap words g, which exercises the
     independence claim for real instead of assuming it; otherwise the gap
-    positions are integrated out directly.
+    positions are integrated out directly: through the k-step transition
+    matrix of a Markov chain (depth > 1), as a product of one-symbol
+    weights for product fibers.
     """
     expanded = _gap_expansion(model, a, b, k, model.marginal_cylinder_mass)
     if expanded is not None:
         return expanded
+    if model.depth > 1:
+        return _chain_joint_mass(model, a, b, k)
     out = 1.0
     for s in a.symbols + b.symbols:
         out *= model.marginal_symbol_weight(s)
     return out
+
+
+def _chain_joint_mass(model, a: Word, b: Word, k: int) -> float:
+    """Mass of {A at 0} intersect {B at |A|+k} under the stationary chain of
+    ``model.chain_tables()``: a forward pass over the chain states, the
+    start state spelling the first depth - 1 symbols, then one step per
+    symbol of B and of A past the start, and the k-step transition matrix
+    over the free gap."""
+    init, nxt, prob = model.chain_tables()
+    n_states, size = prob.shape
+    steps = np.zeros((size, n_states, n_states))
+    steps[np.arange(size)[:, None], np.arange(n_states), nxt.T] = prob.T
+    head = model.depth - 1
+    pattern = a.symbols + (None,) * k + b.symbols
+    # zip stops at the shorter, so a pattern shorter than a state constrains
+    # only its own positions
+    mass = np.array([
+        p if all(c is None or c == s for c, s in zip(pattern, state)) else 0.0
+        for p, state in zip(init, model.states)
+    ])
+    i = head
+    while i < len(pattern):
+        if pattern[i] is None:
+            free = len(a) + k - i
+            mass = mass @ np.linalg.matrix_power(steps.sum(axis=0), free)
+            i += free
+        else:
+            mass = mass @ steps[pattern[i]]
+            i += 1
+    return float(mass.sum())
 
 
 def _fiber_joint_mass(model, env: Environment, a: Word, b: Word, k: int, offset: int) -> float:
@@ -592,6 +629,9 @@ def _fiber_joint_mass(model, env: Environment, a: Word, b: Word, k: int, offset:
     )
     if expanded is not None:
         return expanded
+    if model.depth > 1:
+        # the fiber measure of a Markov (Gibbs) system is its stationary chain
+        return _chain_joint_mass(model, a, b, k)
     span = len(a) + k + len(b)
     symbols = a.symbols + b.symbols
     mat = model.symbol_weight_matrix(env, offset, span, symbols)

@@ -18,14 +18,18 @@ distribution of this count when z is drawn from a fiber measure:
   operator built once from the plain step.
 * ``enumerate_count_distribution`` -- brute force over every word of the
   full length; only feasible at desk scale, kept as an independent oracle.
-* ``monte_carlo_count_distribution`` -- empirical law over sampled words.
+* ``monte_carlo_count_distribution`` -- empirical law over sampled words;
+  on product fibers each position is drawn straight into its class (which
+  distinct target symbol, or none), from the same uniforms and the same
+  partition as ``sample_words``.
 
 Each engine checks the target with the model's ``validate_target`` and
 reads only the protocol listed in ``reclab.models``: the DP ``dp_width``
 and ``dp_tables``; enumeration a complete ``alphabet``, ``depth`` and
 ``symbol_weight_matrix``, or ``fiber_cylinder_mass`` per word when
-``depth`` > 1; Monte Carlo ``sample_words``, ``alphabet`` and
-``tail_mass_bound``; the moment layer ``symbol_weight_matrix``.
+``depth`` > 1; Monte Carlo ``alphabet``, then ``symbol_weight_matrix``
+and ``tail_mass_bound`` at depth 1, ``sample_words`` at depth > 1; the
+moment layer ``symbol_weight_matrix``.
 
 The module also implements the return-pattern taxonomy used by the moment
 method: increasing return-time tuples, their decomposition into blocks of
@@ -79,6 +83,8 @@ DEFAULT_R_MAX = 64
 # weight tables of continuous coordinates never repeat, so the exact DP's
 # operator cache is emptied when it holds this many
 _OPERATOR_CACHE_MAX = 64
+# Monte Carlo holds at most this many uniforms, and weights, at a time
+_SLAB_CELLS = 1 << 20
 
 
 class BudgetError(RuntimeError):
@@ -248,9 +254,10 @@ def _automaton(target: tuple[int, ...], alphabet: Sequence) -> tuple[np.ndarray,
 class CountDistribution:
     """A finite law r -> mass with explicit tail and provenance.
 
-    ``bias_bound`` records the only systematic bias any engine can carry:
-    sentinel draws from a truncated countable alphabet can suppress at most
-    horizon * tail_mass_bound of matching mass in sampled words.
+    ``bias_bound`` bounds the systematic bias of the engine.  It is 0.0 for
+    every engine: the exact engines carry rounding only, and Monte Carlo
+    draws every target symbol with its exact weight, so its laws carry
+    sampling error only.
     """
 
     masses: tuple[float, ...]
@@ -548,14 +555,19 @@ def enumerate_count_distribution(
     )
 
 
-def _sampled_words(model, env: Environment, length: int, trials: int, seed, chunk: int):
-    """``trials`` sampled words of ``length`` symbols in chunks of at most
-    ``chunk`` rows, one child stream of ``seed`` per chunk, so the draws do
-    not depend on how the chunks are scheduled."""
+def _chunk_streams(trials: int, seed, chunk: int):
+    """(rows, generator) per chunk of at most ``chunk`` of ``trials`` rows: one
+    child stream of ``seed`` per chunk, so the draws do not depend on how the
+    chunks are scheduled."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     for c, child in enumerate(seq.spawn((trials + chunk - 1) // chunk)):
-        take = min(chunk, trials - c * chunk)
-        yield model.sample_words(env, 0, length, take, np.random.default_rng(child))
+        yield min(chunk, trials - c * chunk), np.random.default_rng(child)
+
+
+def _sampled_words(model, env: Environment, length: int, trials: int, seed, chunk: int):
+    """``trials`` sampled words of ``length`` symbols, one chunk at a time."""
+    for take, rng in _chunk_streams(trials, seed, chunk):
+        yield model.sample_words(env, 0, length, take, rng)
 
 
 def _window_matches(words, target, horizon: int):
@@ -574,11 +586,11 @@ def _window_matches(words, target, horizon: int):
 
 def _window_counts(words, target, horizon: int) -> np.ndarray:
     """Per row of ``words``, the number of offsets j in [1, horizon] where the
-    target occurs."""
-    counts = np.zeros(words.shape[0], dtype=np.int64)
-    for match in _window_matches(words, target, horizon):
-        counts += match
-    return counts
+    target occurs: one slice compare per target symbol."""
+    match = words[:, 1 : 1 + horizon] == target[0]
+    for d, s in enumerate(target[1:], start=1):
+        match &= words[:, 1 + d : 1 + d + horizon] == s
+    return match.sum(axis=1, dtype=np.int64)
 
 
 def _all_words(alphabet_size: int, length: int) -> np.ndarray:
@@ -617,15 +629,69 @@ def monte_carlo_count_distribution(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     hist = np.zeros(r_max + 2, dtype=np.int64)
-    for words in _sampled_words(model, env, horizon + len(tw), trials, seed, chunk):
-        counts = _window_counts(words, tw, horizon)
+    for counts in _sampled_counts(model, env, tw, horizon, trials, seed, chunk):
         np.add.at(hist, np.minimum(counts, r_max + 1), 1)
     masses = tuple(float(h) / trials for h in hist[: r_max + 1])
     tail = float(hist[r_max + 1]) / trials
-    bias = horizon * model.tail_mass_bound
-    return CountDistribution(
-        masses=masses, tail_mass=tail, provenance="monte-carlo", bias_bound=bias
-    )
+    return CountDistribution(masses=masses, tail_mass=tail, provenance="monte-carlo")
+
+
+def _sampled_counts(model, env: Environment, tw, horizon: int, trials: int, seed, chunk: int):
+    """Return counts of ``trials`` sampled words, a slab of rows at a time.
+
+    At depth 1 a count needs only the class of each position: which distinct
+    target symbol, if any, sits there.  Each position is drawn from one
+    uniform, so the classes come from the uniforms of ``sample_words``' own
+    streams, compared with the per-position intervals of ``_class_bounds``,
+    and no other symbol is resolved.  Depth > 1 counts ``sample_words``.
+    """
+    length = horizon + len(tw)
+    if model.depth > 1:
+        for words in _sampled_words(model, env, length, trials, seed, chunk):
+            yield _window_counts(words, tw, horizon)
+        return
+    distinct = sorted(set(tw), key=model.alphabet.index)
+    lo, hi = _class_bounds(model, env, distinct, length)
+    classes = [distinct.index(s) + 1 for s in tw]
+    code_type = np.min_scalar_type(len(distinct))
+    # rows drawn one slab after another read the generator's stream in order
+    rows = max(1, _SLAB_CELLS // length)
+    for take, rng in _chunk_streams(trials, seed, chunk):
+        for done in range(0, take, rows):
+            u = rng.random((min(rows, take - done), length))
+            codes = np.zeros(u.shape, dtype=code_type)
+            for j in range(len(distinct)):
+                codes[(u >= lo[j]) & (u < hi[j])] = j + 1
+            yield _window_counts(codes, classes, horizon)
+
+
+def _class_bounds(model, env: Environment, distinct, length: int):
+    """(lo, hi), each (len(distinct), length): a uniform u at position i draws
+    symbol s_j = distinct[j] when lo[j, i] <= u < hi[j, i].
+
+    These are C(s_j - 1) and C(s_j), C the cumulative weights in alphabet
+    order, the partition ``sample_words`` draws from; hi is 1 when s_j is
+    the last symbol of a complete alphabet.  (``CountableModel.sample_words``
+    forms its weights by another float expression, so a bound can differ
+    from its CDF in the last bit; a uniform falls in such a gap with
+    probability ~1e-16.)  Only the alphabet prefix up to the largest target
+    symbol is read, in slabs of positions.
+    """
+    alphabet = model.alphabet
+    prefix = alphabet[: alphabet.index(distinct[-1]) + 1]
+    columns = [prefix.index(s) for s in distinct]
+    lo = np.empty((len(distinct), length))
+    hi = np.empty((len(distinct), length))
+    step = max(1, _SLAB_CELLS // len(prefix))
+    for a in range(0, length, step):
+        weights = model.symbol_weight_matrix(env, a, min(step, length - a), prefix)
+        # cum[:, c] is the weight of the first c symbols of the prefix
+        cum = np.cumsum(np.pad(weights, ((0, 0), (1, 0))), axis=1)
+        lo[:, a : a + step] = cum[:, columns].T
+        hi[:, a : a + step] = cum[:, [c + 1 for c in columns]].T
+    if model.tail_mass_bound == 0.0 and distinct[-1] == alphabet[-1]:
+        hi[-1] = 1.0
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

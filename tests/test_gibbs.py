@@ -11,12 +11,14 @@ from reclab import (
     Word,
     bernoulli_potential,
     build_transfer_matrix,
+    check_psi_mixing,
     fit_decay_factor,
     normalize_potential,
     perron_eigendata,
     theta_gibbs,
     theta_ratio_convergence,
 )
+from reclab.models import _chain_joint_mass, _gap_expansion
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -220,3 +222,50 @@ def test_depth_three_system_on_full_shift():
     assert system.cylinder_mass("0") + system.cylinder_mass("1") == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+def _brute_deviation(system, pool, k):
+    """Largest relative deviation of the joint mass, summed over every gap
+    word, from the product of the two cylinder masses."""
+    from itertools import product
+
+    worst = 0.0
+    for a in pool:
+        for b in pool:
+            joint = math.fsum(
+                system.cylinder_mass(a + gap + b) for gap in product((0, 1), repeat=k)
+            )
+            ma, mb = system.cylinder_mass(a), system.cylinder_mass(b)
+            worst = max(worst, abs(joint - ma * mb) / (ma * mb))
+    return worst
+
+
+def test_psi_mixing_of_a_markov_chain_past_the_gap_expansion(golden_system):
+    # 2**13 gap words: past the expansion limit, so the gap goes through the
+    # chain's 13-step transition matrix instead of a product of symbol weights
+    pool = [(0,), (0, 1)]
+    env = golden_system.draw_environment(64, 0)
+    deviations = {}
+    for k in (12, 13, 20):
+        report = check_psi_mixing(golden_system, [k], pool, environment=env)
+        assert report.max_fiber_deviation == pytest.approx(report.max_marginal_deviation)
+        deviations[k] = report.max_marginal_deviation
+    assert deviations[13] == pytest.approx(_brute_deviation(golden_system, pool, 13), rel=1e-6)
+    assert deviations[20] < deviations[13] < deviations[12] < 1e-5
+
+
+def test_chain_joint_mass_equals_the_gap_expansion():
+    # depth 4 on the full 2-shift: three head symbols, so the patterns below
+    # include ones shorter than the start state
+    full = TransitionMatrix.full(2)
+    rng = np.random.default_rng(11)
+    words = full.admissible_tuples(4)
+    system = GibbsSystem(full, Potential(4, dict(zip(words, rng.normal(size=len(words))))))
+    pool = [Word((0,)), Word((1, 1)), Word((1, 0, 1, 1))]
+    for a in pool:
+        for b in pool:
+            for k in range(5):
+                expanded = _gap_expansion(system, a, b, k, system.cylinder_mass)
+                assert _chain_joint_mass(system, a, b, k) == pytest.approx(
+                    expanded, rel=1e-12, abs=1e-15
+                )
