@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import polya_aeppli as pa_mod
 from .experiments import ExperimentConfig, _group_rows, run_annealed, run_quenched
-from .gibbs import GibbsSystem, Potential, bernoulli_potential, fit_decay_factor
+from .gibbs import GibbsSystem, Potential, bernoulli_potential
 from .models import CountableModel, TwoElementModel
 from .polya_aeppli import PolyaAeppliParams
 from .returns import BudgetError
@@ -73,6 +73,13 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
     missing = required - set(section)
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
+
+
+def _integer(value, key: str) -> int:
+    """``value`` if JSON gave it as an integer, else a ConfigError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _build_model(section: dict):
@@ -133,22 +140,28 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("engines must be a list")
     kwargs = {}
     if "cells" in budget:
-        kwargs["budget_cells"] = int(budget["cells"])
+        kwargs["budget_cells"] = _integer(budget["cells"], "budget.cells")
     if "words" in budget:
-        kwargs["budget_words"] = int(budget["words"])
+        kwargs["budget_words"] = _integer(budget["words"], "budget.words")
+    n_list = sched["n_list"]
+    if not isinstance(n_list, list):
+        raise ConfigError(f"schedule.n_list must be a list of integers, got {n_list!r}")
+    t = sched["t"]
+    if isinstance(t, bool) or not isinstance(t, (int, float)):
+        raise ConfigError(f"schedule.t must be a number, got {t!r}")
     try:
         return ExperimentConfig(
             model=model,
             point=point,
-            n_list=tuple(sched["n_list"]),
-            t=float(sched["t"]),
-            environments=int(seeds["environments"]),
-            trials=int(seeds.get("trials", 0)),
-            master_seed=int(seeds["master_seed"]),
+            n_list=tuple(_integer(n, "schedule.n_list") for n in n_list),
+            t=float(t),
+            environments=_integer(seeds["environments"], "seeds.environments"),
+            trials=_integer(seeds.get("trials", 0), "seeds.trials"),
+            master_seed=_integer(seeds["master_seed"], "seeds.master_seed"),
             engines=tuple(engines),
             delta_rule=sched.get("delta_rule", "n"),
             block_rule=sched.get("block_rule", "half_n"),
-            r_max=int(sched.get("r_max", 64)),
+            r_max=_integer(sched.get("r_max", 64), "schedule.r_max"),
             **kwargs,
         )
     except ValueError as exc:
@@ -192,19 +205,8 @@ def cmd_pa(args) -> int:
 
 def cmd_theta(args) -> int:
     config = load_config(args.config)
-    point = config.point
-    theta = config.model.theta(point)
-    print(f"theta {_fmt(theta)}")
-    if isinstance(config.model, GibbsSystem):
-        rows = config.model.ratio_convergence(point, max(config.n_list))
-        worst = max(dev for n, _, dev in rows if n >= min(config.n_list))
-        factor = fit_decay_factor([dev for _, _, dev in rows])
-        print(f"ratio_max_deviation {_fmt(worst)}")
-        print(f"ratio_decay_factor {_fmt(factor)}")
-    else:
-        ratios = config.model.theta_ratio_sequence(point, list(config.n_list))
-        worst = max(abs(rho - theta) for rho in ratios)
-        print(f"ratio_max_deviation {_fmt(worst)}")
+    for name, value in config.model.theta_report(config.point, config.n_list):
+        print(f"{name} {_fmt(value)}")
     return 0
 
 

@@ -22,7 +22,6 @@ built once per (parameters, r_max).
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,8 +33,9 @@ from .returns import (
     DEFAULT_BUDGET_CELLS,
     DEFAULT_BUDGET_WORDS,
     CountDistribution,
-    _sampled_words,
-    _window_matches,
+    _checked_sampling,
+    _sampled_classes,
+    _window_mask,
     enumerate_count_distribution,
     exact_count_distribution,
     expected_return_count,
@@ -391,18 +391,18 @@ def theta_cluster_estimate(
     geometric cluster sizes the fraction over *all* observed returns
     estimates theta.  (Dividing by the gap count instead is biased upward:
     a window whose last cluster is cut off by the horizon contributes its
-    returns but no closing long gap.)  Returns NaN without any returns.
+    returns but no closing long gap.)  The returns are read off Monte
+    Carlo's samples, a slab of rows at a time: class codes on product
+    fibers, words at depth > 1.  Returns NaN without any returns.
     """
-    tw = model.validate_target(target)
+    tw = _checked_sampling(model, target, horizon, trials)
+    if period < 1:
+        raise ValueError("period must be >= 1")
     at_period = returns_total = 0
-    for words in _sampled_words(model, env, horizon + len(tw), trials, seed, chunk=2048):
-        # recent[0] is the mask of the offset ``period`` back once it is full
-        recent: deque = deque(maxlen=period)
-        for match in _window_matches(words, tw, horizon):
-            returns_total += int(match.sum())
-            if len(recent) == period:
-                at_period += int((match & recent[0]).sum())
-            recent.append(match)
+    for codes, classes in _sampled_classes(model, env, tw, horizon, trials, seed, chunk=2048):
+        mask = _window_mask(codes, classes, horizon)
+        returns_total += int(mask.sum())
+        at_period += int((mask[:, period:] & mask[:, :-period]).sum())
     if returns_total == 0:
         return float("nan")
     return at_period / returns_total

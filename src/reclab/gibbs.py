@@ -372,6 +372,17 @@ class GibbsSystem:
             out.append((n, ratio, abs(ratio - theta)))
         return out
 
+    def theta_report(self, x: PeriodicPoint, n_list) -> list[tuple[str, float]]:
+        """The named lines of ``reclab theta``: theta, the largest deviation
+        of the mass ratios from it for n from min(n_list) to max(n_list), and
+        the geometric decay factor fitted to the deviations from n = 1."""
+        rows = self.ratio_convergence(x, max(n_list))
+        return [
+            ("theta", self.theta(x)),
+            ("ratio_max_deviation", max(dev for n, _, dev in rows if n >= min(n_list))),
+            ("ratio_decay_factor", fit_decay_factor([dev for _, _, dev in rows])),
+        ]
+
     # -- Markov-chain view (sampling and DP hooks) ----------------------------
     def chain_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(initial state probs, next_state[state, a], prob[state, a]).

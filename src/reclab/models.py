@@ -17,11 +17,16 @@ depending on the driving coordinate.  ``CountableModel`` is an infinite-
 alphabet family driven by a uniform coordinate u in [eps, 1], with symbol
 weights proportional to 1/(n log^{1+u} n) for n >= 3; the alphabet is
 truncated at a cutoff S for sampling, and the neglected mass is certified
-by an integral bound and carried around as ``tail_mass_bound``.  Words from
-``sample_words`` carry a sentinel where they draw past the cutoff; it never
-matches a cylinder.  The sentinel is a detail of ``sample_words`` only:
-Monte Carlo on product fibers draws each position straight into its class
-(a target symbol or "other") and never forms a word.
+by an integral bound and carried around as ``tail_mass_bound``.
+
+Every product-fiber draw reads one partition of [0, 1) per position: the
+cumulative ``symbol_weight_matrix`` weights in alphabet order, from
+``_cumulative_weights``.  ``sample_words`` maps a uniform to the symbol
+whose interval holds it; past the last symbol lies ``SENTINEL_SYMBOL``
+when the alphabet is truncated (it never matches a cylinder), else that
+last symbol.  Monte Carlo and the cluster estimator on product fibers read
+the same partition up to the largest target symbol and draw each position
+straight into its class (a target symbol or "other"), never forming a word.
 
 Environments are finite, explicitly sized windows of coordinates; reading
 past the window is an error, never a silent extension.
@@ -31,8 +36,8 @@ one protocol: ``validate_target``, ``alphabet`` (what ``sample_words``
 draws, complete when ``tail_mass_bound`` is 0.0), ``depth`` (1 for product
 fibers), ``environment_free``, ``dp_width`` (read before any table is
 built) and ``dp_tables`` for the exact DP, ``symbol_weight_matrix``,
-``fiber_cylinder_mass``, ``marginal_cylinder_mass``, ``sample_words`` and
-``draw_environment``.
+``fiber_cylinder_mass``, ``marginal_cylinder_mass``, ``sample_words``,
+``draw_environment`` and ``theta_report`` (the lines of ``reclab theta``).
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ __all__ = [
 _NORMALIZER_TERMS = 40_000
 
 _normalizer_grid_cache: tuple[np.ndarray, np.ndarray] | None = None
+
+# sampling holds at most this many uniforms, and cumulative weights, at a time
+_SLAB_CELLS = 1 << 20
 
 
 def _normalizer_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -141,23 +149,11 @@ class _ProductModelBase:
     tail_mass_bound = 0.0
     alphabet: range
 
-    # -- hooks supplied by concrete models ---------------------------------
-    def _draw_coordinates(self, rng: np.random.Generator, length: int) -> np.ndarray:
-        raise NotImplementedError
+    # Concrete models supply _draw_coordinates(rng, length),
+    # symbol_weight_matrix(env, start, length, symbols) (the (length,
+    # len(symbols)) fiber weights p_s(w_{start+i})), marginal_symbol_weight(s),
+    # validate_target_symbol(s) and mixing_profile(k_max).
 
-    def symbol_weight_matrix(
-        self, env: Environment, start: int, length: int, symbols: Sequence[int]
-    ) -> np.ndarray:
-        """(length, len(symbols)) array of fiber weights p_s(w_{start+i})."""
-        raise NotImplementedError
-
-    def marginal_symbol_weight(self, s: int) -> float:
-        raise NotImplementedError
-
-    def validate_target_symbol(self, s: int) -> None:
-        raise NotImplementedError
-
-    # -- shared operations ---------------------------------------------------
     def validate_target(self, target) -> tuple[int, ...]:
         tw = as_word(target).symbols
         for s in tw:
@@ -213,6 +209,13 @@ class _ProductModelBase:
     def theta(self, x: PeriodicPoint) -> float:
         return self.theta_closed_form(x)
 
+    def theta_report(self, x: PeriodicPoint, n_list: Sequence[int]) -> list[tuple[str, float]]:
+        """The named lines of ``reclab theta``: theta and the largest deviation
+        of the marginal mass ratios over ``n_list`` from it."""
+        theta = self.theta(x)
+        ratios = self.theta_ratio_sequence(x, n_list)
+        return [("theta", theta), ("ratio_max_deviation", max(abs(r - theta) for r in ratios))]
+
     def theta_ratio_sequence(self, x: PeriodicPoint, n_list: Sequence[int]) -> list[float]:
         """Ratios mass(A_{n+m}(x))/mass(A_n(x)) of marginal cylinder masses."""
         if list(n_list) != sorted(set(n_list)):
@@ -233,7 +236,18 @@ class _ProductModelBase:
         trials: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        raise NotImplementedError
+        """(trials, length) words from position ``start`` on: each position's
+        uniform draws the symbol of ``_cumulative_weights`` whose interval
+        holds it; past the last symbol lies the sentinel when the alphabet is
+        truncated, else that last symbol."""
+        past = SENTINEL_SYMBOL if self.tail_mass_bound > 0.0 else self.alphabet[-1]
+        symbols = np.append(np.asarray(self.alphabet), past)
+        u = rng.random((trials, length))
+        out = np.empty((trials, length), dtype=symbols.dtype)
+        for i, cum in _cumulative_weights(self, env, start, length, self.alphabet, _SLAB_CELLS):
+            for k, row in enumerate(cum[:, 1:], start=i):
+                out[:, k] = symbols[np.searchsorted(row, u[:, k], side="right")]
+        return out
 
     def sample_fiber_point(
         self, env: Environment, length: int, rng: np.random.Generator
@@ -241,8 +255,22 @@ class _ProductModelBase:
         sampled = self.sample_words(env, 0, length, 1, rng)[0]
         return Word(tuple(int(s) for s in sampled))
 
-    def mixing_profile(self, k_max: int = 16) -> MixingProfile:
-        raise NotImplementedError
+
+def _cumulative_weights(model, env: Environment, start: int, length: int, symbols, cells: int):
+    """The partition of [0, 1) that every product-fiber draw reads.
+
+    Yields (i, cum) per slab of at most ``cells`` weights: cum[k, c] is the
+    summed fiber weight of the first c of ``symbols`` at position
+    start + i + k (cum[:, 0] is 0), so a uniform u there draws symbols[c]
+    when cum[k, c] <= u < cum[k, c + 1].  Over a prefix of the alphabet the
+    sums are the first columns of those over the whole alphabet.
+    """
+    step = max(1, cells // len(symbols))
+    for i in range(0, length, step):
+        weights = model.symbol_weight_matrix(env, start + i, min(step, length - i), symbols)
+        cum = np.zeros((len(weights), len(symbols) + 1))
+        np.cumsum(weights, axis=1, out=cum[:, 1:])
+        yield i, cum
 
 
 def _seed_label(seed) -> int | str:
@@ -299,17 +327,9 @@ class TwoElementModel(_ProductModelBase):
         return np.where(coords == 0, self.alpha, self.beta)
 
     def symbol_weight_matrix(self, env, start, length, symbols) -> np.ndarray:
-        coords = env.coordinates(start, length)
-        p0 = self._weight_of_zero(coords)
-        cols = []
-        for s in symbols:
-            if s == 0:
-                cols.append(p0)
-            elif s == 1:
-                cols.append(1.0 - p0)
-            else:
-                cols.append(np.zeros(length))
-        return np.stack(cols, axis=1)
+        p0 = self._weight_of_zero(env.coordinates(start, length))[:, None]
+        s = np.asarray(symbols)
+        return np.where(s == 0, p0, np.where(s == 1, 1.0 - p0, 0.0))
 
     def marginal_symbol_weight(self, s: int) -> float:
         p, q = self.driving_p, 1.0 - self.driving_p
@@ -322,12 +342,6 @@ class TwoElementModel(_ProductModelBase):
     def validate_target_symbol(self, s: int) -> None:
         if s not in (0, 1):
             raise ValueError(f"two-element model has alphabet {{0, 1}}, got symbol {s}")
-
-    def sample_words(self, env, start, length, trials, rng) -> np.ndarray:
-        coords = env.coordinates(start, length)
-        p0 = self._weight_of_zero(coords)
-        u = rng.random((trials, length))
-        return (u >= p0[None, :]).astype(np.int8)
 
     def mixing_profile(self, k_max: int = 16) -> MixingProfile:
         weights = (self.alpha, self.beta, 1.0 - self.alpha, 1.0 - self.beta)
@@ -394,10 +408,8 @@ class CountableModel(_ProductModelBase):
         self._normalizer_cache[u] = g
         return g
 
-    def _base_weight(self, u, s: int):
-        """1/(s log^{1+u} s) for s >= 3; zero weight for s in {1, 2}."""
-        if s < 3:
-            return np.zeros_like(np.asarray(u, dtype=float))
+    def _base_weight(self, u, s):
+        """1/(s log^{1+u} s) for symbols s >= 3, broadcast over u and s."""
         return 1.0 / (s * np.log(s) ** (1.0 + np.asarray(u, dtype=float)))
 
     def fiber_symbol_weight(self, u: float, s: int) -> float:
@@ -408,13 +420,10 @@ class CountableModel(_ProductModelBase):
     def symbol_weight_matrix(self, env, start, length, symbols) -> np.ndarray:
         coords = np.asarray(env.coordinates(start, length), dtype=float)
         g = np.array([self.normalizer(float(u)) for u in coords])
-        cols = []
-        for s in symbols:
-            if s < 3:
-                cols.append(np.zeros(length))
-            else:
-                cols.append(g * self._base_weight(coords, s))
-        return np.stack(cols, axis=1)
+        s = np.asarray(symbols, dtype=float)
+        out = g[:, None] * self._base_weight(coords[:, None], np.maximum(s, 3.0))
+        out[:, s < 3] = 0.0  # symbols 1 and 2 carry no mass
+        return out
 
     def marginal_symbol_weight(self, s: int) -> float:
         if s < 3:
@@ -437,27 +446,6 @@ class CountableModel(_ProductModelBase):
 
     def _draw_coordinates(self, rng: np.random.Generator, length: int) -> np.ndarray:
         return rng.uniform(self.epsilon, 1.0, size=length)
-
-    def truncated_mass(self, u: float) -> float:
-        """Total weight the truncated sampler assigns to real symbols at coordinate u."""
-        s_grid = np.arange(3, self.alphabet_cutoff + 1, dtype=float)
-        w = 1.0 / (s_grid * np.log(s_grid) ** (1.0 + u))
-        return self.normalizer(u) * float(np.sum(w))
-
-    def sample_words(self, env, start, length, trials, rng) -> np.ndarray:
-        coords = np.asarray(env.coordinates(start, length), dtype=float)
-        s_grid = np.arange(3, self.alphabet_cutoff + 1, dtype=float)
-        log_s = np.log(s_grid)
-        out = np.empty((trials, length), dtype=np.int64)
-        u = rng.random((trials, length))
-        for i, c in enumerate(coords):
-            w = self.normalizer(float(c)) / (s_grid * log_s ** (1.0 + c))
-            cdf = np.cumsum(w)
-            idx = np.searchsorted(cdf, u[:, i], side="right")
-            col = idx + 3
-            col[idx >= len(s_grid)] = SENTINEL_SYMBOL
-            out[:, i] = col
-        return out
 
     def mixing_profile(self, k_max: int = 16) -> MixingProfile:
         # sup over u and symbols of the one-symbol weight; attained at s = 3.
@@ -482,7 +470,6 @@ class MarginalModel(_ProductModelBase):
         self.base = base
         self.alphabet = base.alphabet
         self.tail_mass_bound = base.tail_mass_bound
-        self._sampler: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"MarginalModel({self.base!r})"
@@ -500,17 +487,6 @@ class MarginalModel(_ProductModelBase):
 
     def validate_target(self, target) -> tuple[int, ...]:
         return self.base.validate_target(target)
-
-    def sample_words(self, env, start, length, trials, rng) -> np.ndarray:
-        """Inverse-CDF draws over the base's alphabet; past its last symbol lies
-        the sentinel when the alphabet is truncated, else that last symbol."""
-        env.coordinates(start, length)
-        if self._sampler is None:
-            cdf = np.cumsum([self.base.marginal_symbol_weight(s) for s in self.alphabet])
-            past = SENTINEL_SYMBOL if self.tail_mass_bound > 0.0 else self.alphabet[-1]
-            self._sampler = cdf, np.append(np.asarray(self.alphabet), past)
-        cdf, symbols = self._sampler
-        return symbols[np.searchsorted(cdf, rng.random((trials, length)), side="right")]
 
     def mixing_profile(self, k_max: int = 16) -> MixingProfile:
         return self.base.mixing_profile(k_max)

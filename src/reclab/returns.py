@@ -21,7 +21,10 @@ distribution of this count when z is drawn from a fiber measure:
 * ``monte_carlo_count_distribution`` -- empirical law over sampled words;
   on product fibers each position is drawn straight into its class (which
   distinct target symbol, or none), from the same uniforms and the same
-  partition as ``sample_words``.
+  partition (``models._cumulative_weights``) as ``sample_words``.  The
+  samples come in slabs of rows from ``_sampled_classes``, and
+  ``_window_mask`` marks where the target occurs in them; the cluster
+  estimator ``experiments.theta_cluster_estimate`` reads the same masks.
 
 Each engine checks the target with the model's ``validate_target`` and
 reads only the protocol listed in ``reclab.models``: the DP ``dp_width``
@@ -56,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import Environment
+from .models import _SLAB_CELLS, Environment, _cumulative_weights
 from .symbolic import _border_array, as_word, self_overlaps
 
 __all__ = [
@@ -83,8 +86,6 @@ DEFAULT_R_MAX = 64
 # weight tables of continuous coordinates never repeat, so the exact DP's
 # operator cache is emptied when it holds this many
 _OPERATOR_CACHE_MAX = 64
-# Monte Carlo holds at most this many uniforms, and weights, at a time
-_SLAB_CELLS = 1 << 20
 
 
 class BudgetError(RuntimeError):
@@ -572,11 +573,8 @@ def _sampled_words(model, env: Environment, length: int, trials: int, seed, chun
 
 def _window_matches(words, target, horizon: int):
     """For j = 1..horizon in turn, the mask of the rows of ``words`` (rows,
-    length) whose window ``words[:, j : j + len(target)]`` equals the target.
-
-    The masks stream over j, so a caller holds one mask per row at a time,
-    not a (rows, horizon) matrix.
-    """
+    length) whose window ``words[:, j : j + len(target)]`` equals the target:
+    the columns of ``_window_mask``, one at a time."""
     for j in range(1, horizon + 1):
         match = np.ones(words.shape[0], dtype=bool)
         for d, s in enumerate(target):
@@ -584,13 +582,20 @@ def _window_matches(words, target, horizon: int):
         yield match
 
 
-def _window_counts(words, target, horizon: int) -> np.ndarray:
-    """Per row of ``words``, the number of offsets j in [1, horizon] where the
-    target occurs: one slice compare per target symbol."""
+def _window_mask(words, target, horizon: int) -> np.ndarray:
+    """(rows, horizon) mask: [r, j - 1] is set when the target occurs in row r
+    of ``words`` at offset j in [1, horizon]; one slice compare per target
+    symbol."""
     match = words[:, 1 : 1 + horizon] == target[0]
     for d, s in enumerate(target[1:], start=1):
         match &= words[:, 1 + d : 1 + d + horizon] == s
-    return match.sum(axis=1, dtype=np.int64)
+    return match
+
+
+def _window_counts(words, target, horizon: int) -> np.ndarray:
+    """Per row of ``words``, the number of offsets j in [1, horizon] where the
+    target occurs."""
+    return _window_mask(words, target, horizon).sum(axis=1, dtype=np.int64)
 
 
 def _all_words(alphabet_size: int, length: int) -> np.ndarray:
@@ -619,36 +624,46 @@ def monte_carlo_count_distribution(
     symbol the sampler can never draw (above a countable model's
     ``alphabet_cutoff``) is rejected; the exact engine handles it.
     """
-    tw = _checked_target(model, target, horizon, r_max)
-    for s in tw:
-        if s not in model.alphabet:
-            raise ValueError(
-                f"symbol {s} lies outside the sampled alphabet {model.alphabet}, "
-                "past the sampling cutoff: sampled words never contain it"
-            )
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    tw = _checked_sampling(model, target, horizon, trials, r_max)
     hist = np.zeros(r_max + 2, dtype=np.int64)
-    for counts in _sampled_counts(model, env, tw, horizon, trials, seed, chunk):
+    for codes, classes in _sampled_classes(model, env, tw, horizon, trials, seed, chunk):
+        counts = _window_counts(codes, classes, horizon)
         np.add.at(hist, np.minimum(counts, r_max + 1), 1)
     masses = tuple(float(h) / trials for h in hist[: r_max + 1])
     tail = float(hist[r_max + 1]) / trials
     return CountDistribution(masses=masses, tail_mass=tail, provenance="monte-carlo")
 
 
-def _sampled_counts(model, env: Environment, tw, horizon: int, trials: int, seed, chunk: int):
-    """Return counts of ``trials`` sampled words, a slab of rows at a time.
+def _checked_sampling(model, target, horizon: int, trials: int, r_max: int = 0) -> tuple[int, ...]:
+    """``_checked_target`` for the sampling engines, which also need a target
+    the sampler can draw and at least one trial."""
+    tw = _checked_target(model, target, horizon, r_max)
+    outside = [s for s in tw if s not in model.alphabet]
+    if outside:
+        raise ValueError(f"symbol {outside[0]} lies outside the sampled alphabet "
+                         f"{model.alphabet}, past the sampling cutoff: sampled words never contain it")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return tw
 
-    At depth 1 a count needs only the class of each position: which distinct
-    target symbol, if any, sits there.  Each position is drawn from one
-    uniform, so the classes come from the uniforms of ``sample_words``' own
-    streams, compared with the per-position intervals of ``_class_bounds``,
-    and no other symbol is resolved.  Depth > 1 counts ``sample_words``.
+
+def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, seed, chunk: int):
+    """(codes, classes) per slab of rows of ``trials`` samples of
+    horizon + len(tw) positions: the target occurs in a row of ``codes``
+    where ``classes`` does.
+
+    At depth 1 a return needs only the class of each position: which
+    distinct target symbol, if any, sits there.  Each position is drawn from
+    one uniform, so the class codes (0 for "other", j + 1 for the j-th
+    distinct target symbol) come from the uniforms of ``sample_words``' own
+    streams, compared with the intervals of ``_class_bounds``, and no other
+    symbol is resolved.  At depth > 1 the codes are ``sample_words``' words
+    and the classes the target itself.
     """
     length = horizon + len(tw)
     if model.depth > 1:
         for words in _sampled_words(model, env, length, trials, seed, chunk):
-            yield _window_counts(words, tw, horizon)
+            yield words, tw
         return
     distinct = sorted(set(tw), key=model.alphabet.index)
     lo, hi = _class_bounds(model, env, distinct, length)
@@ -662,33 +677,27 @@ def _sampled_counts(model, env: Environment, tw, horizon: int, trials: int, seed
             codes = np.zeros(u.shape, dtype=code_type)
             for j in range(len(distinct)):
                 codes[(u >= lo[j]) & (u < hi[j])] = j + 1
-            yield _window_counts(codes, classes, horizon)
+            yield codes, classes
 
 
 def _class_bounds(model, env: Environment, distinct, length: int):
     """(lo, hi), each (len(distinct), length): a uniform u at position i draws
     symbol s_j = distinct[j] when lo[j, i] <= u < hi[j, i].
 
-    These are C(s_j - 1) and C(s_j), C the cumulative weights in alphabet
-    order, the partition ``sample_words`` draws from; hi is 1 when s_j is
-    the last symbol of a complete alphabet.  (``CountableModel.sample_words``
-    forms its weights by another float expression, so a bound can differ
-    from its CDF in the last bit; a uniform falls in such a gap with
-    probability ~1e-16.)  Only the alphabet prefix up to the largest target
-    symbol is read, in slabs of positions.
+    These are the bounds of s_j's interval in the partition
+    ``_cumulative_weights`` gives ``sample_words``, read only over the
+    alphabet prefix up to the largest target symbol; hi is 1 when s_j is
+    the last symbol of a complete alphabet, where ``sample_words`` draws it
+    past the last sum too.
     """
     alphabet = model.alphabet
     prefix = alphabet[: alphabet.index(distinct[-1]) + 1]
     columns = [prefix.index(s) for s in distinct]
     lo = np.empty((len(distinct), length))
     hi = np.empty((len(distinct), length))
-    step = max(1, _SLAB_CELLS // len(prefix))
-    for a in range(0, length, step):
-        weights = model.symbol_weight_matrix(env, a, min(step, length - a), prefix)
-        # cum[:, c] is the weight of the first c symbols of the prefix
-        cum = np.cumsum(np.pad(weights, ((0, 0), (1, 0))), axis=1)
-        lo[:, a : a + step] = cum[:, columns].T
-        hi[:, a : a + step] = cum[:, [c + 1 for c in columns]].T
+    for a, cum in _cumulative_weights(model, env, 0, length, prefix, _SLAB_CELLS):
+        lo[:, a : a + len(cum)] = cum[:, columns].T
+        hi[:, a : a + len(cum)] = cum[:, [c + 1 for c in columns]].T
     if model.tail_mass_bound == 0.0 and distinct[-1] == alphabet[-1]:
         hi[-1] = 1.0
     return lo, hi

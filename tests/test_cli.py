@@ -153,6 +153,29 @@ def test_empty_n_list_is_validation_error(tmp_path, capsys):
     assert "n_list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("schedule", "n_list", [4.7, 6]),
+        ("schedule", "n_list", "4"),
+        ("schedule", "t", "2"),
+        ("schedule", "t", True),
+        ("schedule", "r_max", 10.9),
+        ("seeds", "environments", 2.9),
+        ("seeds", "environments", True),
+        ("seeds", "trials", "5"),
+        ("seeds", "master_seed", 1.5),
+        ("budget", "cells", 1e9),
+        ("budget", "words", "4096"),
+    ],
+)
+def test_config_numbers_of_the_wrong_type_are_fatal(tmp_path, section, key, value):
+    doc = json.loads(json.dumps(CANONICAL_CONFIG))
+    doc.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+        load_config(_write_config(tmp_path, doc))
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["converge", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
     assert rc == 2

@@ -4,7 +4,8 @@ A toy model that implements only the protocol (no reclab base class) runs
 through every engine; the shared entry check refuses bad arguments on every
 engine; random Markov Gibbs systems on constrained shifts keep the exact DP
 equal to enumeration; the streaming window counter keeps the integers of the
-plain slice comparisons.
+plain slice comparisons; the cluster estimator counts the returns of the
+sampled words on every model family.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from reclab import (
     BudgetError,
+    CountableModel,
     Environment,
     GibbsSystem,
     MarginalModel,
@@ -174,15 +176,50 @@ def test_count_returns_matches_the_slice_comparison():
             assert count_returns(z, target, 50) == naive
 
 
-@pytest.mark.parametrize("target, period", [("0", 1), ("000", 1), ("0101", 2), ("010010", 3)])
-def test_theta_estimate_matches_the_match_matrix(target, period):
-    env = TWO.draw_environment(200, 7)
+GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
+COUNTABLE = CountableModel(0.5, alphabet_cutoff=64)
+THETA_CASES = [
+    # the two-element cases keep their bare ids
+    pytest.param(model, target, period, id="-".join(filter(None, (name, target, str(period)))))
+    for name, model in (
+        ("", TWO),
+        ("countable", COUNTABLE),
+        ("marginal-two-element", MarginalModel(TWO)),
+        ("golden-mean", GibbsSystem(GOLDEN, Potential.constant(0.0, GOLDEN, depth=2))),
+    )
+    for target, period in (("0", 1), ("000", 1), ("0101", 2), ("010010", 3))
+]
+
+
+@pytest.mark.parametrize("model, target, period", THETA_CASES)
+def test_theta_estimate_matches_the_match_matrix(model, target, period):
+    # the target's digits index the model's alphabet
+    target = tuple(model.alphabet[int(c)] for c in target)
+    env = model.draw_environment(200, 7)
     horizon, trials = 150, 1_500  # one sampling chunk: one child stream of the seed
-    est = theta_cluster_estimate(TWO, env, target, period, horizon, trials, seed=1)
+    est = theta_cluster_estimate(model, env, target, period, horizon, trials, seed=1)
     child = np.random.SeedSequence(1).spawn(1)[0]
-    words = TWO.sample_words(env, 0, horizon + len(target), trials, np.random.default_rng(child))
+    words = model.sample_words(env, 0, horizon + len(target), trials, np.random.default_rng(child))
     match = np.ones((trials, horizon), dtype=bool)
-    for d, s in enumerate(as_word(target).symbols):
+    for d, s in enumerate(target):
         match &= words[:, 1 + d : 1 + d + horizon] == s
     at_period = (match[:, period:] & match[:, :-period]).sum()
     assert est == at_period / match.sum()
+
+
+@pytest.mark.parametrize(
+    "model, target, changes, message",
+    [
+        pytest.param(TWO, "00", dict(period=0), "period must be >= 1", id="period-0"),
+        pytest.param(TWO, "00", dict(period=-1), "period must be >= 1", id="period-negative"),
+        pytest.param(TWO, "00", dict(horizon=-3), "horizon must be nonnegative", id="horizon"),
+        pytest.param(TWO, "00", dict(trials=0), "trials must be >= 1", id="trials"),
+        pytest.param(TWO, "02", dict(), "alphabet", id="symbol"),
+        pytest.param(COUNTABLE, (3, 65), dict(), "past the sampling cutoff", id="past-cutoff"),
+    ],
+)
+def test_theta_estimate_rejects_bad_arguments(model, target, changes, message):
+    args = dict(period=1, horizon=10, trials=10, seed=0)
+    args.update(changes)
+    with pytest.raises(ValueError, match=message):
+        theta_cluster_estimate(model, model.draw_environment(20, 0), target, **args)

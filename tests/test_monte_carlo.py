@@ -3,8 +3,10 @@
 At depth 1 each position's uniform is mapped straight to its class (which
 distinct target symbol, or none).  Over the same streams and the same
 partition as ``sample_words`` this must give the law of the sampled words
-bit for bit, whatever the slab size; and the vectorised window counter must
-keep the integers of the streaming window masks.
+bit for bit, whatever the slab size: every sampled symbol lies in the class
+its uniform falls in.  The vectorised window counter must keep the integers
+of the streaming window masks, and countable Monte Carlo must agree with the
+exact DP within its sampling error.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from reclab import (
     CountableModel,
     MarginalModel,
     TwoElementModel,
+    exact_count_distribution,
     monte_carlo_count_distribution,
 )
 from reclab import returns
@@ -67,6 +70,37 @@ def test_slab_size_does_not_change_the_law(monkeypatch, model, target):
     # one row of uniforms, and one position of weights, per slab
     monkeypatch.setattr(returns, "_SLAB_CELLS", 1)
     assert _monte_carlo(model, env, target, seed=2) == law
+
+
+@pytest.mark.parametrize("model, target", CASES)
+def test_sampled_symbols_fall_in_the_class_of_their_uniform(model, target):
+    length, trials = 200, 500
+    env = model.draw_environment(length, 5)
+    distinct = sorted(set(target), key=model.alphabet.index)
+    lo, hi = returns._class_bounds(model, env, distinct, length)
+    words = model.sample_words(env, 0, length, trials, np.random.default_rng(1))
+    u = np.random.default_rng(1).random((trials, length))
+    for j, s in enumerate(distinct):
+        assert np.array_equal(words == s, (u >= lo[j]) & (u < hi[j]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=0.2, max_value=0.9),
+    st.lists(st.integers(3, 6), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_countable_monte_carlo_agrees_with_the_exact_dp(epsilon, target, horizon, seed):
+    model = CountableModel(epsilon, alphabet_cutoff=64)
+    env = model.draw_environment(horizon + len(target), seed)
+    trials = 4_000
+    dp = exact_count_distribution(model, env, target, horizon, r_max=horizon)
+    mc = monte_carlo_count_distribution(model, env, target, horizon, trials, seed, r_max=horizon)
+    # 4 sigma, plus 8 counts: a mass of 1e-6 is still seen once in 4,000 trials
+    # with probability 0.4%, which the normal band alone would call an error
+    for p, q in zip(dp.masses, mc.masses):
+        assert abs(q - p) <= 4 * np.sqrt(p * (1 - p) / trials) + 8 / trials
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
