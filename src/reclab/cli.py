@@ -18,10 +18,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import statistics
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,12 +31,13 @@ import numpy as np
 
 from . import __version__
 from . import polya_aeppli as pa_mod
-from .experiments import ExperimentConfig, _group_rows, run_annealed, run_quenched
+from . import returns as returns_mod
+from .experiments import ExperimentConfig, _group_rows, _integral, run_annealed, run_quenched
 from .gibbs import GibbsSystem, Potential, bernoulli_potential
 from .models import CountableModel, TwoElementModel
 from .polya_aeppli import PolyaAeppliParams
 from .returns import BudgetError
-from .symbolic import PeriodicPoint, TransitionMatrix, Word, as_word
+from .symbolic import PeriodicPoint, TransitionMatrix, Word, as_word, self_overlaps
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -73,13 +76,6 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
     missing = required - set(section)
     if missing:
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
-
-
-def _integer(value, key: str) -> int:
-    """``value`` if JSON gave it as an integer, else a ConfigError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 def _build_model(section: dict):
@@ -138,30 +134,28 @@ def load_config(path) -> ExperimentConfig:
     engines = doc["engines"]
     if not isinstance(engines, list):
         raise ConfigError("engines must be a list")
-    kwargs = {}
-    if "cells" in budget:
-        kwargs["budget_cells"] = _integer(budget["cells"], "budget.cells")
-    if "words" in budget:
-        kwargs["budget_words"] = _integer(budget["words"], "budget.words")
     n_list = sched["n_list"]
     if not isinstance(n_list, list):
         raise ConfigError(f"schedule.n_list must be a list of integers, got {n_list!r}")
     t = sched["t"]
     if isinstance(t, bool) or not isinstance(t, (int, float)):
         raise ConfigError(f"schedule.t must be a number, got {t!r}")
+    # the integer checks name the config key; ValueErrors become ConfigErrors
     try:
+        kwargs = {f"budget_{key}": _integral(budget[key], f"budget.{key}")
+                  for key in ("cells", "words") if key in budget}
         return ExperimentConfig(
             model=model,
             point=point,
-            n_list=tuple(_integer(n, "schedule.n_list") for n in n_list),
+            n_list=tuple(_integral(n, "schedule.n_list") for n in n_list),
             t=float(t),
-            environments=_integer(seeds["environments"], "seeds.environments"),
-            trials=_integer(seeds.get("trials", 0), "seeds.trials"),
-            master_seed=_integer(seeds["master_seed"], "seeds.master_seed"),
+            environments=_integral(seeds["environments"], "seeds.environments"),
+            trials=_integral(seeds.get("trials", 0), "seeds.trials"),
+            master_seed=_integral(seeds["master_seed"], "seeds.master_seed"),
             engines=tuple(engines),
             delta_rule=sched.get("delta_rule", "n"),
             block_rule=sched.get("block_rule", "half_n"),
-            r_max=_integer(sched.get("r_max", 64), "schedule.r_max"),
+            r_max=_integral(sched.get("r_max", 64), "schedule.r_max"),
             **kwargs,
         )
     except ValueError as exc:
@@ -187,12 +181,10 @@ def _sha256(path: Path) -> str:
 def cmd_pa(args) -> int:
     params = PolyaAeppliParams(t=args.t, p=args.p)
     table = pa_mod.pa_pmf_table(params, args.r_max)
-    out = _out_dir(args)
-    pmf_path = out / "pmf.csv"
-    with open(pmf_path, "w", newline="") as fh:
-        fh.write("r,mass\n")
-        for r, m in enumerate(table.masses):
-            fh.write(f"{r},{_fmt(m)}\n")
+    pmf_path = _write_csv(
+        _out_dir(args) / "pmf.csv", "r,mass",
+        ([str(r), _fmt(m)] for r, m in enumerate(table.masses)),
+    )
     mean, var = pa_mod.pa_mean_variance(params)
     print(f"wrote {pmf_path}")
     print(f"mean {_fmt(mean)}")
@@ -238,7 +230,7 @@ def cmd_converge(args) -> int:
     if args.budget_states is not None:
         config = dataclasses.replace(config, budget_cells=int(args.budget_states))
     out = _out_dir(args)
-    quenched = run_quenched(config, threads=args.threads)
+    quenched = run_quenched(config)
 
     outputs = [
         _write_csv(
@@ -283,13 +275,17 @@ def cmd_converge(args) -> int:
 def cmd_selfcheck(args) -> int:
     del args
     failures = 0
-    for name, check in _SELFCHECKS:
+    for name, compare, bound, measure in _SELFCHECKS:
         try:
-            check()
-            print(f"PASS {name}")
+            worst = measure()
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
             failures += 1
-            print(f"FAIL {name}: {exc}")
+            traceback.print_exc()
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
+            continue
+        passed = compare(worst, bound)
+        failures += not passed
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {worst:.3g} vs {bound:g}")
     if failures:
         print(f"{failures} self-check(s) failed")
         return 1
@@ -298,137 +294,128 @@ def cmd_selfcheck(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# self-check suite (small-scale module invariants)
+# self-check suite (small-scale module invariants): each measure returns the
+# worst deviation it finds, and its row passes when compare(worst, bound)
 # ---------------------------------------------------------------------------
 
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise AssertionError(message)
+def _worst(deviations) -> float:
+    """The largest deviation; NaN if any is NaN, so a NaN fails its row."""
+    return float(np.max(list(deviations)))
 
 
-def _sc_pmf_normalization() -> None:
-    for t in (1.0, 5.0):
-        for p in (0.0, 0.5, 0.9):
-            table = pa_mod.pa_pmf_table(PolyaAeppliParams(t=t, p=p))
-            _check(abs(table.total() - 1.0) < 1e-10, f"total off at t={t}, p={p}")
+def _pmf_normalization() -> float:
+    return _worst(abs(pa_mod.pa_pmf_table(PolyaAeppliParams(t=t, p=p)).total() - 1.0)
+                  for t in (1.0, 5.0) for p in (0.0, 0.5, 0.9))
 
 
-def _sc_poisson_reduction() -> None:
+def _poisson_relative_error() -> float:
+    devs = []
     for t in (0.5, 2.0):
         params = PolyaAeppliParams(t=t, p=0.0)
         for r in range(31):
             want = math.exp(-t) * t**r / math.factorial(r)
-            got = pa_mod.pa_pmf(params, r)
-            _check(abs(got - want) <= 1e-12 * want, f"poisson mismatch r={r}")
+            devs.append(abs(pa_mod.pa_pmf(params, r) - want) / want)
+    return _worst(devs)
 
 
-def _sc_moment_consistency() -> None:
+def _moment_consistency() -> float:
     params = PolyaAeppliParams(t=2.0, p=0.5)
     # deep truncation: the C(r,k)-weighted tail must be negligible up to k=5
-    table = pa_mod.pa_pmf_table(params, r_max=400)
-    for k in range(6):
-        direct = sum(math.comb(r, k) * m for r, m in enumerate(table.masses))
-        _check(
-            abs(direct - pa_mod.pa_binomial_moment(params, k)) < 1e-8,
-            f"moment mismatch k={k}",
-        )
+    masses = pa_mod.pa_pmf_table(params, r_max=400).masses
+    return _worst(abs(sum(math.comb(r, k) * m for r, m in enumerate(masses))
+                      - pa_mod.pa_binomial_moment(params, k)) for k in range(6))
 
 
-def _sc_pgf_consistency() -> None:
+def _pgf_consistency() -> float:
     params = PolyaAeppliParams(t=1.5, p=0.5)
-    table = pa_mod.pa_pmf_table(params)
-    for z in (0.0, 0.25, 0.5, 0.9):
-        series = sum(z**r * m for r, m in enumerate(table.masses))
-        _check(abs(series - pa_mod.pa_pgf(params, z)) < 1e-10, f"pgf mismatch z={z}")
+    masses = pa_mod.pa_pmf_table(params).masses
+    return _worst(abs(sum(z**r * m for r, m in enumerate(masses)) - pa_mod.pa_pgf(params, z))
+                  for z in (0.0, 0.25, 0.5, 0.9))
 
 
-def _sc_sampler() -> None:
+def _sampler_tv() -> float:
     params = PolyaAeppliParams(t=2.0, p=0.5)
-    rng = np.random.default_rng(7)
-    sample = pa_mod.pa_sample_many(params, 100_000, rng)
+    sample = pa_mod.pa_sample_many(params, 100_000, np.random.default_rng(7))
     table = pa_mod.pa_pmf_table(params, r_max=int(sample.max()))
     emp = np.bincount(sample, minlength=len(table.masses)) / len(sample)
-    tv = 0.5 * (np.abs(emp - np.array(table.masses)).sum() + table.tail_mass)
-    _check(tv < 0.02, f"sampler TV {tv}")
+    return 0.5 * float(np.abs(emp - np.array(table.masses)).sum() + table.tail_mass)
 
 
-def _sc_two_element_theta() -> None:
+def _two_element_theta() -> float:
     model = TwoElementModel(0.3, 0.7, 0.5)
-    _check(abs(model.marginal_symbol_weight(0) - 0.5) < 1e-15, "pbar_0 wrong")
-    point = PeriodicPoint(Word((0,)))
-    _check(abs(model.theta_closed_form(point) - 0.5) < 1e-15, "theta wrong")
-    ratios = model.theta_ratio_sequence(point, [2, 4, 8])
-    _check(max(abs(r - 0.5) for r in ratios) < 1e-12, "ratio sequence wrong")
+    theta = model.theta_closed_form(PeriodicPoint(Word((0,))))
+    return _worst((abs(model.marginal_symbol_weight(0) - 0.5), abs(theta - 0.5)))
 
 
-def _sc_oracle_triangle() -> None:
-    from .returns import (
-        enumerate_count_distribution,
-        exact_count_distribution,
-        monte_carlo_count_distribution,
-    )
+def _two_element_ratios() -> float:
+    model = TwoElementModel(0.3, 0.7, 0.5)
+    ratios = model.theta_ratio_sequence(PeriodicPoint(Word((0,))), [2, 4, 8])
+    return _worst(abs(r - 0.5) for r in ratios)
 
+
+def _oracle_cases():
     model = TwoElementModel(0.3, 0.7, 0.5)
     env = model.draw_environment(20, 11)
     for target, horizon in (("0", 8), ("01", 6), ("00", 10)):
-        dp = exact_count_distribution(model, env, target, horizon, r_max=horizon)
-        brute = enumerate_count_distribution(model, env, target, horizon)
-        for r in range(horizon + 1):
-            b = brute.masses[r] if r < len(brute.masses) else 0.0
-            _check(abs(dp.masses[r] - b) < 1e-12, f"dp/brute mismatch at r={r}")
-        trials = 20_000
-        mc = monte_carlo_count_distribution(
+        dp = returns_mod.exact_count_distribution(model, env, target, horizon, r_max=horizon)
+        yield model, env, target, horizon, dp.masses
+
+
+def _dp_vs_enumeration() -> float:
+    devs = []
+    for model, env, target, horizon, dp in _oracle_cases():
+        brute = returns_mod.enumerate_count_distribution(model, env, target, horizon).masses
+        devs += (abs(dp[r] - (brute[r] if r < len(brute) else 0.0)) for r in range(horizon + 1))
+    return _worst(devs)
+
+
+def _mc_vs_dp_in_se(trials: int = 20_000) -> float:
+    """Worst |MC - DP| mass, less 1e-9 of slack, in Monte Carlo standard errors."""
+    devs = []
+    for model, env, target, horizon, dp in _oracle_cases():
+        mc = returns_mod.monte_carlo_count_distribution(
             model, env, target, horizon, trials, seed=5, r_max=horizon
-        )
+        ).masses
         for r in range(horizon + 1):
-            se = math.sqrt(max(dp.masses[r] * (1 - dp.masses[r]), 1e-12) / trials)
-            _check(
-                abs(mc.masses[r] - dp.masses[r]) <= 4 * se + 1e-9,
-                f"mc off at r={r}",
-            )
+            se = math.sqrt(max(dp[r] * (1 - dp[r]), 1e-12) / trials)
+            devs.append((abs(mc[r] - dp[r]) - 1e-9) / se)
+    return _worst(devs)
 
 
-def _sc_moment_identity() -> None:
-    from .returns import binomial_moment_enumeration, exact_count_distribution
-
+def _moment_identity() -> float:
     model = TwoElementModel(0.4, 0.6, 0.3)
     env = model.draw_environment(24, 3)
-    target, horizon = "010", 9
-    dp = exact_count_distribution(model, env, target, horizon, r_max=horizon)
-    for k in range(4):
-        direct = sum(math.comb(r, k) * m for r, m in enumerate(dp.masses))
-        enum = binomial_moment_enumeration(model, env, target, horizon, k)
-        _check(abs(direct - enum) < 1e-10, f"moment identity broken at k={k}")
+    masses = returns_mod.exact_count_distribution(model, env, "010", 9, r_max=9).masses
+    return _worst(abs(sum(math.comb(r, k) * m for r, m in enumerate(masses))
+                      - returns_mod.binomial_moment_enumeration(model, env, "010", 9, k))
+                  for k in range(4))
 
 
-def _sc_partition_identity() -> None:
-    from .returns import binomial_moment_enumeration, rare_vs_main_split
-
+def _partition_relative_error() -> float:
     model = TwoElementModel(0.5, 0.5, 0.5)
     env = model.draw_environment(50, 1)
-    rare, main = rare_vs_main_split(
+    rare, main = returns_mod.rare_vs_main_split(
         model, env, "00", 40, r=2, delta=4, block_gap=1, period=1
     )
-    total = binomial_moment_enumeration(model, env, "00", 40, 2)
-    _check(abs((rare + main) - total) < 1e-11 * max(total, 1.0), "partition broken")
+    total = returns_mod.binomial_moment_enumeration(model, env, "00", 40, 2)
+    return abs((rare + main) - total) / max(total, 1.0)
 
 
-def _sc_gibbs() -> None:
+def _golden_mean() -> GibbsSystem:
     golden = TransitionMatrix([[1, 1], [1, 0]])
-    system = GibbsSystem(golden, Potential.constant(0.0, golden, depth=2))
-    lam = system.perron.lam
-    _check(abs(lam - (1 + math.sqrt(5)) / 2) < 1e-10, "golden mean eigenvalue")
-    _check(system.cylinder_mass("11") == 0.0, "forbidden word has mass")
+    return GibbsSystem(golden, Potential.constant(0.0, golden, depth=2))
+
+
+def _gibbs_product() -> float:
     iid = GibbsSystem(TransitionMatrix.full(2), bernoulli_potential([0.3, 0.7]))
-    _check(abs(iid.cylinder_mass("01") - 0.21) < 1e-12, "product mass")
-    _check(abs(iid.theta(PeriodicPoint(Word((0,)))) - 0.3) < 1e-12, "gibbs theta")
+    return _worst((abs(iid.cylinder_mass("01") - 0.21),
+                   abs(iid.theta(PeriodicPoint(Word((0,)))) - 0.3)))
 
 
-def _sc_overlap_multiples() -> None:
-    from .symbolic import self_overlaps
-
+def _overlaps_off_period() -> float:
     rng = np.random.default_rng(3)
+    bad = 0
     for _ in range(50):
         m = int(rng.integers(1, 6))
         while True:
@@ -439,36 +426,37 @@ def _sc_overlap_multiples() -> None:
             except ValueError:
                 continue
         n = int(rng.integers(2 * m, 12 * m + 1))
-        word = point.prefix(n)
-        for ell in self_overlaps(word):
-            if ell <= n - m:
-                _check(ell % m == 0, f"overlap {ell} not multiple of {m}")
+        bad += sum(1 for ell in self_overlaps(point.prefix(n)) if ell <= n - m and ell % m)
+    return float(bad)
 
 
-def _sc_mean_identity() -> None:
-    from .returns import exact_count_distribution, expected_return_count
-
+def _mean_identity() -> float:
     model = TwoElementModel(0.25, 0.7, 0.4)
     env = model.draw_environment(40, 9)
-    dp = exact_count_distribution(model, env, "01", 30, r_max=30)
-    direct = sum(r * m for r, m in enumerate(dp.masses))
-    expected = expected_return_count(model, env, "01", 30)
-    _check(abs(direct - expected) < 1e-10, "mean identity broken")
+    masses = returns_mod.exact_count_distribution(model, env, "01", 30, r_max=30).masses
+    return abs(sum(r * m for r, m in enumerate(masses))
+               - returns_mod.expected_return_count(model, env, "01", 30))
 
 
+# (name, comparison, bound, measure)
 _SELFCHECKS = [
-    ("pmf-normalization", _sc_pmf_normalization),
-    ("poisson-reduction", _sc_poisson_reduction),
-    ("moment-consistency", _sc_moment_consistency),
-    ("pgf-consistency", _sc_pgf_consistency),
-    ("sampler-agreement", _sc_sampler),
-    ("two-element-theta", _sc_two_element_theta),
-    ("oracle-triangle", _sc_oracle_triangle),
-    ("moment-identity", _sc_moment_identity),
-    ("partition-identity", _sc_partition_identity),
-    ("gibbs-operator", _sc_gibbs),
-    ("overlap-multiples", _sc_overlap_multiples),
-    ("mean-identity", _sc_mean_identity),
+    ("pmf-normalization", operator.lt, 1e-10, _pmf_normalization),
+    ("poisson-reduction-relative", operator.le, 1e-12, _poisson_relative_error),
+    ("moment-consistency", operator.lt, 1e-8, _moment_consistency),
+    ("pgf-consistency", operator.lt, 1e-10, _pgf_consistency),
+    ("sampler-agreement-tv", operator.lt, 0.02, _sampler_tv),
+    ("two-element-theta", operator.lt, 1e-15, _two_element_theta),
+    ("two-element-ratios", operator.lt, 1e-12, _two_element_ratios),
+    ("oracle-dp-vs-enumeration", operator.lt, 1e-12, _dp_vs_enumeration),
+    ("oracle-mc-vs-dp-in-se", operator.le, 4.0, _mc_vs_dp_in_se),
+    ("moment-identity", operator.lt, 1e-10, _moment_identity),
+    ("partition-identity-relative", operator.lt, 1e-11, _partition_relative_error),
+    ("gibbs-eigenvalue", operator.lt, 1e-10,
+     lambda: abs(_golden_mean().perron.lam - (1 + math.sqrt(5)) / 2)),
+    ("gibbs-forbidden-mass", operator.eq, 0.0, lambda: _golden_mean().cylinder_mass("11")),
+    ("gibbs-product", operator.lt, 1e-12, _gibbs_product),
+    ("overlap-multiples-violations", operator.eq, 0.0, _overlaps_off_period),
+    ("mean-identity", operator.lt, 1e-10, _mean_identity),
 ]
 
 
@@ -500,11 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--config", required=True)
     p_conv.add_argument("--out", default=".")
     p_conv.add_argument("--seed", type=int, default=None)
-    p_conv.add_argument("--threads", type=int, default=0)
+    p_conv.add_argument("--threads", type=int, default=0,
+                        help="accepted and ignored: environments run sequentially")
     p_conv.add_argument("--budget-states", type=int, default=None)
     p_conv.set_defaults(func=cmd_converge)
 
-    p_self = sub.add_parser("selfcheck", help="run the module invariant suites")
+    p_self = sub.add_parser("selfcheck",
+                            help="run the module invariant checks; prints each deviation")
     p_self.set_defaults(func=cmd_selfcheck)
 
     return parser

@@ -12,17 +12,17 @@ into a shared overflow bucket.
 
 Horizons always use the *marginal* cylinder mass; the quenched laws vary
 with the environment around it.  Environment and trial streams are derived
-from the master seed by index, so runs are reproducible regardless of the
-thread count.  Models whose fiber measure is the same on every environment
-(``environment_free``, e.g. Gibbs systems) get their exact laws computed
-once per (engine, n) and shared by all environments; the limit-law table is
-built once per (parameters, r_max).
+from the master seed by environment index, so environment i and its laws
+are the same whatever the number of environments.  Models whose fiber
+measure is the same on every environment (``environment_free``, e.g. Gibbs
+systems) get their exact laws computed once per (engine, n) and shared by
+all environments; the limit-law table is built once per (parameters, r_max).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,6 +70,13 @@ BLOCK_RULES = {
 }
 
 
+def _integral(value, field: str) -> int:
+    """``value`` as an int, or a ValueError naming ``field`` if it is not integral."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: object
@@ -87,7 +94,10 @@ class ExperimentConfig:
     budget_words: int = DEFAULT_BUDGET_WORDS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        for name in ("environments", "trials", "master_seed", "r_max",
+                     "budget_cells", "budget_words"):
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+        object.__setattr__(self, "n_list", tuple(_integral(n, "n_list") for n in self.n_list))
         object.__setattr__(self, "engines", tuple(self.engines))
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
@@ -265,34 +275,27 @@ def _quenched_one(config: ExperimentConfig, env_index: int, memo: dict) -> Quenc
 def run_quenched(config: ExperimentConfig, threads: int = 0) -> list[QuenchedResult]:
     """One result per environment, ordered by environment index.
 
-    Results do not depend on the thread count.  The automatic choice
-    (threads=0) runs sequentially.  Threads help a little where sampling
-    weighs and hurt where the DP dominates: on 2 CPUs with BLAS threads 1
-    (4 alternating runs each), two threads took
-    ``bench/configs/countable_mc.json`` (seed 1) from 2.1-2.3 s to
-    1.8-2.2 s but ``configs/quenched_two_element.json`` from 4.4-5.0 s to
-    7.6-8.0 s.
-    Environment 0 runs first, so the laws and tables it leaves for the
-    others are computed once.
+    The environments run in order and share one memo, so the laws and
+    tables environment 0 computes are reused by the rest.  ``threads`` is
+    accepted for compatibility and ignored: runs are sequential.
     """
+    del threads
     memo: dict = {}
-    first = _quenched_one(config, 0, memo)
-    rest = range(1, config.environments)
-    workers = threads if threads > 0 else 1
-    if workers == 1 or config.environments == 1:
-        return [first] + [_quenched_one(config, i, memo) for i in rest]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [first] + list(pool.map(lambda i: _quenched_one(config, i, memo), rest))
+    return [_quenched_one(config, i, memo) for i in range(config.environments)]
 
 
 def run_annealed(
     config: ExperimentConfig, quenched: list[QuenchedResult] | None = None, threads: int = 0
 ) -> list[AnnealedRow]:
-    """Environment-averaged laws with the same comparison columns."""
+    """Environment-averaged laws with the same comparison columns.
+
+    ``threads`` is accepted for compatibility and ignored.
+    """
+    del threads
     if config.environments < 2:
         raise ValueError("annealed averaging needs at least 2 environments")
     if quenched is None:
-        quenched = run_quenched(config, threads=threads)
+        quenched = run_quenched(config)
     by_key = _group_rows(quenched)
     out = []
     for n in config.n_list:

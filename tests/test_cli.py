@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import reclab.cli
 import reclab.polya_aeppli
+import reclab.returns
 from reclab.cli import ConfigError, load_config, main
 
 
@@ -216,3 +218,43 @@ def test_selfcheck_detects_injected_pmf_bug(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_selfcheck_pass_lines_carry_their_measured_deviation(capsys):
+    assert main(["selfcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert len(lines) == len(reclab.cli._SELFCHECKS)
+    for line, (name, compare, bound, _) in zip(lines, reclab.cli._SELFCHECKS):
+        verdict, row, worst, vs, printed_bound = line.split(" ")
+        assert (verdict, row, vs) == ("PASS", f"{name}:", "vs")
+        assert compare(float(worst), bound) and float(printed_bound) == bound
+
+
+def test_selfcheck_reports_a_raising_measure_and_runs_the_rest(monkeypatch, capsys):
+    def broken():
+        raise RuntimeError("measure exploded")
+
+    rows = list(reclab.cli._SELFCHECKS)
+    name, compare, bound, _ = rows[3]
+    rows[3] = (name, compare, bound, broken)
+    monkeypatch.setattr(reclab.cli, "_SELFCHECKS", rows)
+    rc = main(["selfcheck"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[3] == f"FAIL {name}: RuntimeError: measure exploded"
+    others = lines[:3] + lines[4:len(rows)]
+    assert [line.split(":")[0] for line in others] == [
+        f"PASS {row[0]}" for i, row in enumerate(rows) if i != 3
+    ]
+    assert lines[-1] == "1 self-check(s) failed"
+
+
+def test_selfcheck_catches_a_dp_that_drops_the_emitting_mass(monkeypatch, capsys):
+    def keep_only(keep_op, emit_op, dist, shifted):
+        return keep_op @ dist  # the mass whose step completes a match is lost
+
+    monkeypatch.setattr(reclab.returns, "_count_step", keep_only)
+    rc = main(["selfcheck"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL oracle-dp-vs-enumeration: " in out

@@ -66,6 +66,36 @@ def test_config_validation(canonical_model):
         ExperimentConfig(canonical_model, point, (4, 6), 1.0, delta_rule="bogus")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_list", (4.7, 6)),
+        ("n_list", (True, 6)),
+        ("environments", 2.9),
+        ("environments", True),
+        ("trials", 5.0),
+        ("master_seed", "1"),
+        ("r_max", 10.9),
+        ("budget_cells", 1e9),
+        ("budget_words", None),
+    ],
+)
+def test_config_rejects_non_integers_from_library_callers(canonical_model, field, value):
+    args = dict(model=canonical_model, point=PeriodicPoint(Word((0,))), n_list=(4, 6), t=1.0)
+    args[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ExperimentConfig(**args)
+
+
+def test_config_takes_numpy_integers_as_ints(canonical_model):
+    config = ExperimentConfig(
+        canonical_model, PeriodicPoint(Word((0,))), np.array([4, 6]), 1.0,
+        environments=np.int64(3), master_seed=np.uint32(7),
+    )
+    assert config.n_list == (4, 6)
+    assert type(config.environments) is int and type(config.master_seed) is int
+
+
 def test_tv_distance_examples():
     a = CountDistribution(masses=(0.25, 0.5, 0.25), tail_mass=0.0, provenance="exact-dp")
     assert tv_distance(a, Pmf(masses=(0.25, 0.5, 0.25), tail_mass=0.0)) == 0.0

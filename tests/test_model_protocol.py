@@ -5,9 +5,11 @@ through every engine; the shared entry check refuses bad arguments on every
 engine; random Markov Gibbs systems on constrained shifts keep the exact DP
 equal to enumeration; the streaming window counter keeps the integers of the
 plain slice comparisons; the cluster estimator counts the returns of the
-sampled words on every model family.
+sampled words on every model family; the DP on a ``MarginalModel`` is the
+exact environment average of the quenched DP laws.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -165,6 +167,31 @@ def test_markov_dp_equals_enumeration_on_random_constrained_shifts(system, data)
     brute = enumerate_count_distribution(system, None, target, horizon)
     np.testing.assert_allclose(dp.masses, brute.masses, rtol=0, atol=1e-12)
     assert dp.tail_mass <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 0.99),
+    st.lists(st.integers(0, 1), min_size=1, max_size=3), st.data(),
+)
+def test_marginal_dp_is_the_average_of_the_quenched_dp_laws(alpha, beta, driving_p, target, data):
+    # every coin window of length L = horizon + n, weighted by its probability
+    # (coordinate 0 has probability driving_p), integrates the environment out
+    model = TwoElementModel(alpha, beta, driving_p)
+    horizon = data.draw(st.integers(min_value=1, max_value=10 - len(target)), label="horizon")
+    length = horizon + len(target)
+    average = np.zeros(horizon + 1)
+    for coins in itertools.product((0, 1), repeat=length):
+        env = Environment(window=np.array(coins, dtype=np.int8), source_seed="exhaustive")
+        ones = sum(coins)
+        weight = driving_p ** (length - ones) * (1.0 - driving_p) ** ones
+        law = exact_count_distribution(model, env, target, horizon, r_max=horizon)
+        average += weight * np.array(law.masses)
+    marginal = MarginalModel(model)
+    law = exact_count_distribution(
+        marginal, marginal.draw_environment(length, 0), target, horizon, r_max=horizon
+    )
+    np.testing.assert_allclose(law.masses, average, rtol=0, atol=1e-12)
 
 
 def test_count_returns_matches_the_slice_comparison():
