@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import models as models_mod
 from . import polya_aeppli as pa_mod
 from . import returns as returns_mod
 from .experiments import ExperimentConfig, _group_rows, _integral, run_annealed, run_quenched
@@ -148,7 +149,7 @@ def load_config(path) -> ExperimentConfig:
             model=model,
             point=point,
             n_list=tuple(_integral(n, "schedule.n_list") for n in n_list),
-            t=float(t),
+            t=t,
             environments=_integral(seeds["environments"], "seeds.environments"),
             trials=_integral(seeds.get("trials", 0), "seeds.trials"),
             master_seed=_integral(seeds["master_seed"], "seeds.master_seed"),
@@ -402,6 +403,20 @@ def _partition_relative_error() -> float:
     return abs((rare + main) - total) / max(total, 1.0)
 
 
+def _normalizer_closed_form() -> float:
+    """Worst relative deviation of the closed-form countable normaliser from
+    its definition, the truncated series added term by term."""
+    us = (0.5, 0.75, 1.0)
+    devs = []
+    for u, closed in zip(us, models_mod._normalizers(np.array(us))):
+        terms = (1.0 / (n * math.log(n) ** (1.0 + u))
+                 for n in range(3, models_mod._NORMALIZER_TERMS + 1))
+        midpoint = math.log(models_mod._NORMALIZER_TERMS + 0.5) ** (-u) / u
+        summed = 1.0 / (math.fsum(terms) + midpoint)
+        devs.append(abs(closed - summed) / summed)
+    return _worst(devs)
+
+
 def _golden_mean() -> GibbsSystem:
     golden = TransitionMatrix([[1, 1], [1, 0]])
     return GibbsSystem(golden, Potential.constant(0.0, golden, depth=2))
@@ -447,6 +462,7 @@ _SELFCHECKS = [
     ("sampler-agreement-tv", operator.lt, 0.02, _sampler_tv),
     ("two-element-theta", operator.lt, 1e-15, _two_element_theta),
     ("two-element-ratios", operator.lt, 1e-12, _two_element_ratios),
+    ("countable-normalizer-closed-form", operator.le, 4e-15, _normalizer_closed_form),
     ("oracle-dp-vs-enumeration", operator.lt, 1e-12, _dp_vs_enumeration),
     ("oracle-mc-vs-dp-in-se", operator.le, 4.0, _mc_vs_dp_in_se),
     ("moment-identity", operator.lt, 1e-10, _moment_identity),

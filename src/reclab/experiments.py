@@ -77,6 +77,21 @@ def _integral(value, field: str) -> int:
     return int(value)
 
 
+def _positive_real(value, field: str) -> float:
+    """``value`` as a float, or a ValueError naming ``field`` if it is not a
+    real number that is positive and finite as a float."""
+    error = ValueError(f"{field} must be a finite positive number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error
+    try:
+        out = float(value)
+    except OverflowError:
+        raise error from None
+    if not (0.0 < out < math.inf):
+        raise error
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: object
@@ -99,6 +114,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integral(getattr(self, name), name))
         object.__setattr__(self, "n_list", tuple(_integral(n, "n_list") for n in self.n_list))
         object.__setattr__(self, "engines", tuple(self.engines))
+        object.__setattr__(self, "t", _positive_real(self.t, "t"))
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
         if list(self.n_list) != sorted(set(self.n_list)):
@@ -108,8 +124,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"every n must be >= 2m = {2 * m}, got n = {self.n_list[0]}"
             )
-        if not (self.t > 0.0):
-            raise ValueError("t must be positive")
         if self.environments < 1:
             raise ValueError("need at least one environment")
         unknown = set(self.engines) - set(ENGINES)

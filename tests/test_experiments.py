@@ -1,5 +1,6 @@
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -361,3 +362,17 @@ def test_quenched_gibbs_system_runs():
     for row0, row1 in zip(results[0].rows, results[1].rows):
         assert row0.distribution.masses == row1.distribution.masses
         assert row0.theta == pytest.approx(1 / ((1 + math.sqrt(5)) / 2))
+
+
+@pytest.mark.parametrize(
+    "t", [True, False, float("inf"), float("nan"), "2", None, 0.0, -1.5, -math.inf, 10**400]
+)
+def test_config_rejects_t_that_is_not_a_finite_positive_real(canonical_model, t):
+    with pytest.raises(ValueError, match="t must be a finite positive number"):
+        ExperimentConfig(canonical_model, PeriodicPoint(Word((0,))), (4, 6), t)
+
+
+def test_config_stores_t_as_float(canonical_model):
+    for t in (2, np.float32(0.5), Fraction(3, 2)):
+        config = ExperimentConfig(canonical_model, PeriodicPoint(Word((0,))), (4, 6), t)
+        assert type(config.t) is float and config.t == float(t)

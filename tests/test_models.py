@@ -13,7 +13,7 @@ from reclab import (
     Word,
     check_psi_mixing,
 )
-from reclab.models import SENTINEL_SYMBOL
+from reclab.models import _NORMALIZER_TERMS, SENTINEL_SYMBOL, _normalizers
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +293,64 @@ def test_marginal_model_sampling(two_elt):
     words = marg.sample_words(env, 0, 6, 50_000, np.random.default_rng(2))
     freq0 = (words == 0).mean()
     assert abs(freq0 - 0.5) <= 4 * math.sqrt(0.25 / (50_000 * 6))
+
+
+# -- countable normaliser in closed form ------------------------------------
+
+
+def _summed_normalizer(u: float) -> float:
+    """G(u) by its definition: the truncated series added term by term, plus
+    the midpoint-rule remainder."""
+    n_max = _NORMALIZER_TERMS
+    terms = (1.0 / (n * math.log(n) ** (1.0 + u)) for n in range(3, n_max + 1))
+    return 1.0 / (math.fsum(terms) + math.log(n_max + 0.5) ** (-u) / u)
+
+
+def test_closed_form_normalizer_against_the_summed_definition():
+    fixed = [np.finfo(float).eps, 1e-3, 0.5, 0.75, 0.999, 1.0]
+    us = fixed + list(np.random.default_rng(11).uniform(0.0, 1.0, 20))
+    for u, closed in zip(us, _normalizers(np.array(us))):
+        want = _summed_normalizer(u)
+        assert abs(closed - want) <= 4e-15 * want, u
+
+
+def test_normalizer_refuses_u_outside_its_domain(countable):
+    for u in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="u > 0"):
+            countable.normalizer(u)
+
+
+def test_normalizer_entries_do_not_depend_on_the_array(countable):
+    us = np.random.default_rng(12).uniform(countable.epsilon, 1.0, 257)
+    whole = _normalizers(us)
+    assert [countable.normalizer(u) for u in us] == whole.tolist()
+    for size in (1, 2, 7, 64):
+        pieces = [_normalizers(us[i : i + size]) for i in range(0, len(us), size)]
+        assert np.array_equal(np.concatenate(pieces), whole)
+    assert countable.normalizer(0.5) == _normalizers(np.array([0.5]))[0]
+
+
+def test_countable_weight_matrix_against_per_coordinate_weights(countable):
+    env = countable.draw_environment(40, 6)
+    symbols = [1, 2, 3, 4, 17, 2048, 10**6]
+    mat = countable.symbol_weight_matrix(env, 0, 40, symbols)
+    for i, u in enumerate(env.window):
+        g = countable.normalizer(u)
+        for j, s in enumerate(symbols):
+            want = g / (s * math.log(s) ** (1.0 + u)) if s >= 3 else 0.0
+            assert mat[i, j] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_vector_marginal_weights_are_the_scalar_ones():
+    symbols = range(3, 2049)
+    vector = CountableModel(0.5, alphabet_cutoff=2048).marginal_symbol_weights(symbols)
+    cold = CountableModel(0.5, alphabet_cutoff=2048)
+    assert vector.tolist() == [cold.marginal_symbol_weight(s) for s in symbols]
+    # past the cutoff the weights are computed afresh, with the same bits
+    small = CountableModel(0.5, alphabet_cutoff=64)
+    large = CountableModel(0.5, alphabet_cutoff=4096)
+    past = small.marginal_symbol_weights([1, 2, 100, 3, 4096, 100])
+    want = [large.marginal_symbol_weight(s) for s in (100, 3, 4096, 100)]
+    assert past.tolist() == [0.0, 0.0] + want
+    row = MarginalModel(cold).symbol_weight_matrix(cold.draw_environment(3, 0), 0, 3, symbols)
+    assert np.array_equal(row, np.tile(vector, (3, 1)))
