@@ -13,10 +13,13 @@ into a shared overflow bucket.
 Horizons always use the *marginal* cylinder mass; the quenched laws vary
 with the environment around it.  Environment and trial streams are derived
 from the master seed by environment index, so environment i and its laws
-are the same whatever the number of environments.  Models whose fiber
-measure is the same on every environment (``environment_free``, e.g. Gibbs
-systems) get their exact laws computed once per (engine, n) and shared by
-all environments; the limit-law table is built once per (parameters, r_max).
+are the same whatever the number of environments.
+
+A quenched run is one n-major pass: the environments are drawn once, and
+each (n, engine) runs over all of them.  Models whose fiber measure is the
+same on every environment (``environment_free``, e.g. Gibbs systems) get
+their exact laws computed once per (n, engine) and shared by all
+environments; the limit-law table is built once per r_max.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .polya_aeppli import Pmf, PolyaAeppliParams, pa_pmf_table
 from .returns import (
     DEFAULT_BUDGET_CELLS,
     DEFAULT_BUDGET_WORDS,
+    BudgetError,
     CountDistribution,
     _checked_sampling,
     _sampled_classes,
@@ -220,8 +224,6 @@ def _group_rows(quenched: list[QuenchedResult]) -> dict[tuple[int, str], list[Qu
 
 
 def _run_engine(config: ExperimentConfig, env, engine: str, target, n: int, horizon: int, env_index: int) -> CountDistribution:
-    from .returns import BudgetError
-
     try:
         if engine == "exact-dp":
             return exact_count_distribution(
@@ -232,70 +234,61 @@ def _run_engine(config: ExperimentConfig, env, engine: str, target, n: int, hori
             return enumerate_count_distribution(
                 config.model, env, target, horizon, budget_words=config.budget_words
             )
-        if engine == "monte-carlo":
-            return monte_carlo_count_distribution(
-                config.model, env, target, horizon,
-                trials=config.trials,
-                seed=trial_seed(config.master_seed, env_index),
-                r_max=config.r_max,
-            )
+        return monte_carlo_count_distribution(
+            config.model, env, target, horizon,
+            trials=config.trials,
+            seed=trial_seed(config.master_seed, env_index),
+            r_max=config.r_max,
+        )
     except BudgetError as exc:
         raise BudgetError(
             f"{exc} (engine {engine}, n={n}, horizon={horizon}, "
             f"environment {env_index})"
         ) from exc
-    raise ValueError(f"unknown engine {engine!r}")
 
 
-def _memoised(memo: dict, key, build):
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+def _environments(config: ExperimentConfig, window: int) -> list:
+    """The run's environments over ``window`` positions, by environment index."""
+    return [
+        config.model.draw_environment(window, environment_seed(config.master_seed, i))
+        for i in range(config.environments)
+    ]
 
 
-def _quenched_one(config: ExperimentConfig, env_index: int, memo: dict) -> QuenchedResult:
-    """Rows of one environment; ``memo`` carries what the run's environments share.
+def run_quenched(config: ExperimentConfig, threads: int = 0) -> list[QuenchedResult]:
+    """One result per environment, by index, with its rows in (n, engine) order.
 
-    Limit-law tables are shared per (parameters, r_max).  When the model's
-    fiber measure is the same on every environment (``environment_free``),
-    the exact engines' laws are shared per (engine, n) as well; Monte Carlo
-    rows always sample with their own environment's trial seed.
+    One n-major pass over environments drawn once: theta and each n's target
+    and horizon are computed once, then each (n, engine) runs over the
+    environments, once in all for an exact engine on an ``environment_free``
+    model, else once per environment (Monte Carlo with that environment's
+    trial seed).  ``threads`` is accepted for compatibility and ignored.
     """
-    window = config.window_length()
-    env = config.model.draw_environment(window, environment_seed(config.master_seed, env_index))
-    theta = config.model.theta(config.point)
+    del threads
+    model = config.model
+    envs = _environments(config, config.window_length())
+    theta = model.theta(config.point)
     params = PolyaAeppliParams(t=(1.0 - theta) * config.t, p=theta)
-    shared_laws = config.model.environment_free
-    rows = []
+    tables: dict[int, Pmf] = {}
+    rows: list[list[QuenchedRow]] = [[] for _ in envs]
     for n in config.n_list:
         target = config.point.prefix(n)
         horizon = config.horizon(n)
         for engine in config.engines:
-            def law():
-                return _run_engine(config, env, engine, target, n, horizon, env_index)
-
-            if shared_laws and engine != "monte-carlo":
-                dist = _memoised(memo, ("law", engine, n), law)
+            if model.environment_free and engine != "monte-carlo":
+                dists = [_run_engine(config, envs[0], engine, target, n, horizon, 0)] * len(envs)
             else:
-                dist = law()
-            theo = _memoised(
-                memo, ("table", params, dist.r_max),
-                lambda: pa_pmf_table(params, r_max=dist.r_max),
-            )
-            rows.append(_compare(config, n, engine, horizon, theta, dist, theo))
-    return QuenchedResult(env_index=env_index, environment=env, rows=tuple(rows))
-
-
-def run_quenched(config: ExperimentConfig, threads: int = 0) -> list[QuenchedResult]:
-    """One result per environment, ordered by environment index.
-
-    The environments run in order and share one memo, so the laws and
-    tables environment 0 computes are reused by the rest.  ``threads`` is
-    accepted for compatibility and ignored: runs are sequential.
-    """
-    del threads
-    memo: dict = {}
-    return [_quenched_one(config, i, memo) for i in range(config.environments)]
+                dists = [_run_engine(config, env, engine, target, n, horizon, i)
+                         for i, env in enumerate(envs)]
+            for env_rows, dist in zip(rows, dists):
+                if dist.r_max not in tables:
+                    tables[dist.r_max] = pa_pmf_table(params, r_max=dist.r_max)
+                env_rows.append(_compare(config, n, engine, horizon, theta, dist,
+                                         tables[dist.r_max]))
+    return [
+        QuenchedResult(env_index=i, environment=env, rows=tuple(env_rows))
+        for i, (env, env_rows) in enumerate(zip(envs, rows))
+    ]
 
 
 def run_annealed(
@@ -303,6 +296,8 @@ def run_annealed(
 ) -> list[AnnealedRow]:
     """Environment-averaged laws with the same comparison columns.
 
+    The rows of one (n, engine) must share one ``r_max``, as those of
+    ``run_quenched`` do; the average is compared with their limit law.
     ``threads`` is accepted for compatibility and ignored.
     """
     del threads
@@ -315,33 +310,25 @@ def run_annealed(
     for n in config.n_list:
         for engine in config.engines:
             rows = by_key[(n, engine)]
-            r_max = min(row.distribution.r_max for row in rows)
+            r_max = rows[0].distribution.r_max
+            if any(row.distribution.r_max != r_max for row in rows):
+                raise ValueError(
+                    f"rows of n={n}, engine {engine} differ in r_max; "
+                    "annealed averaging needs one r_max"
+                )
             k = len(rows)
             masses = tuple(
                 math.fsum(row.distribution.masses[r] for row in rows) / k
                 for r in range(r_max + 1)
             )
-            tail = (
-                math.fsum(
-                    row.distribution.tail_mass
-                    + math.fsum(row.distribution.masses[r_max + 1 :])
-                    for row in rows
-                )
-                / k
-            )
+            tail = math.fsum(row.distribution.tail_mass for row in rows) / k
             bias = max(row.distribution.bias_bound for row in rows)
             dist = CountDistribution(
                 masses=masses, tail_mass=tail,
                 provenance=rows[0].distribution.provenance, bias_bound=bias,
             )
-            # the quenched rows already carry the limit law at their r_max
-            theo = rows[0].theoretical
-            if theo.r_max != r_max:
-                theo = pa_pmf_table(
-                    PolyaAeppliParams(t=(1.0 - rows[0].theta) * config.t, p=rows[0].theta),
-                    r_max=r_max,
-                )
-            out.append(_compare(config, n, engine, rows[0].horizon, rows[0].theta, dist, theo))
+            out.append(_compare(config, n, engine, rows[0].horizon, rows[0].theta, dist,
+                                rows[0].theoretical))
     return out
 
 
@@ -384,8 +371,7 @@ def overlap_count_check(config: ExperimentConfig, u_list: Sequence[int]) -> list
         config.horizon(n) + n + m * max(u_list) for n in config.n_list
     )
     out = []
-    for i in range(config.environments):
-        env = config.model.draw_environment(window, environment_seed(config.master_seed, i))
+    for i, env in enumerate(_environments(config, window)):
         for n in config.n_list:
             horizon = config.horizon(n)
             for u in u_list:

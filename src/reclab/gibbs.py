@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Environment, _seed_label
-from .symbolic import PeriodicPoint, TransitionMatrix, as_word
+from .symbolic import PeriodicPoint, TransitionMatrix, _is_primitive, as_word
 
 __all__ = [
     "Potential",
@@ -185,7 +185,11 @@ def perron_eigendata(matrix, states=None) -> PerronData:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     if (mat < 0).any():
         raise ValueError("matrix must be nonnegative")
-    _require_primitive(mat)
+    if not _is_primitive(mat):
+        raise ValueError(
+            "matrix is not primitive (no strictly positive power up to exponent "
+            f"{mat.shape[0] ** 2}); Perron data is not well defined"
+        )
 
     size = mat.shape[0]
     if size <= _DENSE_EIG_MAX:
@@ -207,20 +211,6 @@ def perron_eigendata(matrix, states=None) -> PerronData:
             f"Perron eigendata did not reach the required residual: {residual:.3e}"
         )
     return PerronData(lam=lam, h=h, nu=nu, states=tuple(states), residual=residual)
-
-
-def _require_primitive(mat: np.ndarray) -> None:
-    size = mat.shape[0]
-    pattern = (mat > 0).astype(np.int64)
-    reach = pattern.copy()
-    for _ in range(size * size):
-        if (reach > 0).all():
-            return
-        reach = np.minimum(reach @ pattern, 1)
-    raise ValueError(
-        "matrix is not primitive (no strictly positive power up to exponent "
-        f"{size * size}); Perron data is not well defined"
-    )
 
 
 def _dense_leading(mat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -461,7 +451,8 @@ class GibbsSystem:
                 "per-position symbol weights need product (i.i.d.) fibers; this "
                 "Gibbs system is Markov"
             )
-        return np.tile([self.cylinder_mass((s,)) for s in symbols], (length, 1))
+        row = np.array([self.cylinder_mass((s,)) for s in symbols], dtype=float)
+        return np.broadcast_to(row, (length, len(row)))
 
     def draw_environment(self, window_length: int, seed) -> Environment:
         window = np.zeros(window_length)

@@ -341,14 +341,17 @@ def _cumulative_weights(model, env: Environment, start: int, length: int, symbol
     summed fiber weight of the first c of ``symbols`` at position
     start + i + k (cum[:, 0] is 0), so a uniform u there draws symbols[c]
     when cum[k, c] <= u < cum[k, c + 1].  Over a prefix of the alphabet the
-    sums are the first columns of those over the whole alphabet.
+    sums are the first columns of those over the whole alphabet.  On an
+    ``environment_free`` model every position has the same weights, so one
+    row is summed and read at every position of the slab.
     """
     step = max(1, cells // len(symbols))
     for i in range(0, length, step):
         weights = model.symbol_weight_matrix(env, start + i, min(step, length - i), symbols)
-        cum = np.zeros((len(weights), len(symbols) + 1))
-        np.cumsum(weights, axis=1, out=cum[:, 1:])
-        yield i, cum
+        rows = 1 if model.environment_free else len(weights)
+        cum = np.zeros((rows, len(symbols) + 1))
+        np.cumsum(weights[:rows], axis=1, out=cum[:, 1:])
+        yield i, np.broadcast_to(cum, (len(weights), len(symbols) + 1))
 
 
 def _seed_label(seed) -> int | str:
@@ -577,7 +580,7 @@ class MarginalModel(_ProductModelBase):
             row = vector(symbols)
         else:
             row = np.array([self.base.marginal_symbol_weight(s) for s in symbols], dtype=float)
-        return np.tile(row, (length, 1))
+        return np.broadcast_to(row, (length, len(row)))
 
     def marginal_symbol_weight(self, s: int) -> float:
         return self.base.marginal_symbol_weight(s)

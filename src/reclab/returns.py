@@ -378,10 +378,11 @@ def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
     support = operator((weights != 0).any(axis=0), keep_stack + emit_stack)
     live = _reachable(support, dist.any(axis=1))
     dist = dist[live]
+    live_block = np.ix_(live, live)
 
     def step_operators(table):
-        keep_op = operator(table, keep_stack)[np.ix_(live, live)]
-        emit_op = operator(table, emit_stack)[np.ix_(live, live)]
+        keep_op = operator(table, keep_stack)[live_block]
+        emit_op = operator(table, emit_stack)[live_block]
         return keep_op, emit_op, keep_op + emit_op, bool(emit_op.any())
 
     # completions before position n route normally but never count

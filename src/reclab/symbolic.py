@@ -172,6 +172,22 @@ def cylinder_at(x: PeriodicPoint, n: int) -> Word:
     return x.prefix(n)
 
 
+def _is_primitive(matrix) -> bool:
+    """True iff some power of the nonnegative square ``matrix`` is strictly
+    positive; never for the empty matrix.
+
+    Powers up to size^2 are checked, which is past the Wielandt bound
+    n^2 - 2n + 2, so the test is exact.
+    """
+    pattern = (np.asarray(matrix) > 0).astype(np.int64)
+    reach = pattern
+    for _ in range(pattern.shape[0] ** 2):
+        if reach.all():
+            return True
+        reach = np.minimum(reach @ pattern, 1)
+    return False
+
+
 class TransitionMatrix:
     """A 0/1 transition matrix over a finite alphabet {0..size-1}."""
 
@@ -195,19 +211,8 @@ class TransitionMatrix:
         return bool(self.matrix.all())
 
     def is_topologically_mixing(self) -> bool:
-        """True iff some power of the matrix is strictly positive.
-
-        Powers up to size^2 are checked, which is past the Wielandt bound
-        n^2 - 2n + 2, so the test is exact.
-        """
-        reach = self.matrix.astype(bool)
-        step = self.matrix.astype(bool)
-        for _ in range(max(self.size * self.size, 1)):
-            if reach.all():
-                return True
-            step = (step.astype(np.int64) @ self.matrix.astype(np.int64)) > 0
-            reach = step
-        return bool(reach.all())
+        """True iff some power of the matrix is strictly positive (``_is_primitive``)."""
+        return _is_primitive(self.matrix)
 
     def word_is_admissible(self, w) -> bool:
         word = as_word(w)

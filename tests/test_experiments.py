@@ -376,3 +376,59 @@ def test_config_stores_t_as_float(canonical_model):
     for t in (2, np.float32(0.5), Fraction(3, 2)):
         config = ExperimentConfig(canonical_model, PeriodicPoint(Word((0,))), (4, 6), t)
         assert type(config.t) is float and config.t == float(t)
+
+
+def test_quenched_rows_are_the_direct_engine_calls(canonical_model):
+    from reclab import enumerate_count_distribution, monte_carlo_count_distribution, pa_pmf_table
+    from reclab.experiments import ENGINES, trial_seed
+
+    config = ExperimentConfig(
+        canonical_model, PeriodicPoint(Word((0,))), (2, 3), 1.0,
+        environments=3, master_seed=4, trials=200, engines=ENGINES, r_max=8,
+    )
+    window = config.window_length()
+    theta = canonical_model.theta(config.point)
+    params = PolyaAeppliParams(t=(1.0 - theta) * config.t, p=theta)
+    results = run_quenched(config)
+    assert [res.env_index for res in results] == [0, 1, 2]
+    for i, res in enumerate(results):
+        env = canonical_model.draw_environment(window, environment_seed(4, i))
+        assert np.array_equal(res.environment.window, env.window)
+        assert [(row.n, row.engine) for row in res.rows] == [
+            (n, engine) for n in config.n_list for engine in ENGINES
+        ]
+        for row in res.rows:
+            target = config.point.prefix(row.n)
+            horizon = config.horizon(row.n)
+            if row.engine == "exact-dp":
+                want = exact_count_distribution(canonical_model, env, target, horizon, r_max=8)
+            elif row.engine == "enumeration":
+                want = enumerate_count_distribution(canonical_model, env, target, horizon)
+            else:
+                want = monte_carlo_count_distribution(
+                    canonical_model, env, target, horizon,
+                    trials=200, seed=trial_seed(4, i), r_max=8,
+                )
+            assert row.horizon == horizon and row.theta == theta
+            assert row.distribution == want
+            assert row.tv == tv_distance(want, pa_pmf_table(params, r_max=want.r_max))
+
+
+def test_annealed_refuses_rows_of_one_key_with_different_r_max(small_config):
+    from dataclasses import replace
+
+    from reclab.experiments import QuenchedResult
+
+    quenched = run_quenched(small_config)
+    row = quenched[1].rows[0]
+    dist = row.distribution
+    shorter = CountDistribution(
+        masses=dist.masses[:-1], tail_mass=dist.tail_mass + dist.masses[-1],
+        provenance=dist.provenance,
+    )
+    quenched[1] = QuenchedResult(
+        env_index=1, environment=quenched[1].environment,
+        rows=(replace(row, distribution=shorter),) + quenched[1].rows[1:],
+    )
+    with pytest.raises(ValueError, match="r_max"):
+        run_annealed(small_config, quenched=quenched)

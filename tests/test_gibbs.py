@@ -269,3 +269,11 @@ def test_chain_joint_mass_equals_the_gap_expansion():
                 assert _chain_joint_mass(system, a, b, k) == pytest.approx(
                     expanded, rel=1e-12, abs=1e-15
                 )
+
+
+def test_periodic_pattern_is_refused_at_both_primitivity_checks():
+    with pytest.raises(ValueError, match="not primitive"):
+        perron_eigendata([[0, 1], [1, 0]])
+    flip = TransitionMatrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="not topologically mixing"):
+        build_transfer_matrix(Potential.constant(0.0, flip, depth=2), flip)

@@ -354,3 +354,24 @@ def test_vector_marginal_weights_are_the_scalar_ones():
     assert past.tolist() == [0.0, 0.0] + want
     row = MarginalModel(cold).symbol_weight_matrix(cold.draw_environment(3, 0), 0, 3, symbols)
     assert np.array_equal(row, np.tile(vector, (3, 1)))
+
+
+def test_marginal_cumulative_weights_are_the_tiled_cumsum():
+    from reclab.models import _cumulative_weights
+
+    base = CountableModel(0.5, alphabet_cutoff=256)
+    model = MarginalModel(base)
+    env = model.draw_environment(40, 0)
+    symbols = model.alphabet
+    tiled = np.tile(base.marginal_symbol_weights(symbols), (30, 1))
+    slabs = list(_cumulative_weights(model, env, 3, 30, symbols, cells=1000))
+    assert [i for i, _ in slabs] == list(range(0, 30, 1000 // len(symbols)))
+    cum = np.concatenate([c for _, c in slabs])
+    assert cum.shape == (30, len(symbols) + 1)
+    assert (cum[:, 0] == 0.0).all()
+    assert np.array_equal(cum[:, 1:], np.cumsum(tiled, axis=1))
+    # the weights stay bound to the environment's window
+    with pytest.raises(ValueError, match="window overflow"):
+        model.symbol_weight_matrix(env, 30, 11, symbols)
+    with pytest.raises(ValueError, match="window overflow"):
+        list(_cumulative_weights(model, env, 30, 11, symbols, cells=1000))
