@@ -25,11 +25,8 @@ from .gibbs import (
     bernoulli_potential,
     build_transfer_matrix,
     fit_decay_factor,
-    gibbs_cylinder_mass,
     normalize_potential,
     perron_eigendata,
-    theta_gibbs,
-    theta_ratio_convergence,
 )
 from .models import (
     CountableModel,
@@ -71,7 +68,6 @@ from .symbolic import (
     TransitionMatrix,
     Word,
     as_word,
-    cylinder_at,
     minimal_period,
     self_overlaps,
 )

@@ -33,7 +33,9 @@ from . import __version__
 from . import models as models_mod
 from . import polya_aeppli as pa_mod
 from . import returns as returns_mod
-from .experiments import ExperimentConfig, _group_rows, _integral, run_annealed, run_quenched
+from .experiments import (
+    ExperimentConfig, _group_rows, _integral, _seed, run_annealed, run_quenched,
+)
 from .gibbs import GibbsSystem, Potential, bernoulli_potential
 from .models import CountableModel, TwoElementModel
 from .polya_aeppli import PolyaAeppliParams
@@ -125,8 +127,7 @@ def load_config(path) -> ExperimentConfig:
     gen = doc["point"]["generator"]
     point = PeriodicPoint(as_word(gen if isinstance(gen, str) else tuple(gen)))
     sched = doc["schedule"]
-    _require_keys(sched, {"t", "n_list", "delta_rule", "block_rule", "r_max"},
-                  {"t", "n_list"}, "schedule")
+    _require_keys(sched, {"t", "n_list", "r_max"}, {"t", "n_list"}, "schedule")
     seeds = doc["seeds"]
     _require_keys(seeds, {"master_seed", "environments", "trials"},
                   {"master_seed", "environments"}, "seeds")
@@ -152,10 +153,8 @@ def load_config(path) -> ExperimentConfig:
             t=t,
             environments=_integral(seeds["environments"], "seeds.environments"),
             trials=_integral(seeds.get("trials", 0), "seeds.trials"),
-            master_seed=_integral(seeds["master_seed"], "seeds.master_seed"),
+            master_seed=_seed(seeds["master_seed"], "seeds.master_seed"),
             engines=tuple(engines),
-            delta_rule=sched.get("delta_rule", "n"),
-            block_rule=sched.get("block_rule", "half_n"),
             r_max=_integral(sched.get("r_max", 64), "schedule.r_max"),
             **kwargs,
         )
@@ -504,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--config", required=True)
     p_conv.add_argument("--out", default=".")
     p_conv.add_argument("--seed", type=int, default=None)
-    p_conv.add_argument("--threads", type=int, default=0,
-                        help="accepted and ignored: environments run sequentially")
     p_conv.add_argument("--budget-states", type=int, default=None)
     p_conv.set_defaults(func=cmd_converge)
 

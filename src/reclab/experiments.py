@@ -64,21 +64,21 @@ __all__ = [
 
 ENGINES = ("exact-dp", "enumeration", "monte-carlo")
 
-DELTA_RULES = {
-    "n": lambda n: n,
-    "2n": lambda n: 2 * n,
-}
-
-BLOCK_RULES = {
-    "half_n": lambda n: max(n // 2, 1),
-}
-
 
 def _integral(value, field: str) -> int:
     """``value`` as an int, or a ValueError naming ``field`` if it is not integral."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def _seed(value, field: str) -> int:
+    """``value`` as a nonnegative int, or a ValueError naming ``field``: numpy
+    seeds refuse negative entropy."""
+    seed = _integral(value, field)
+    if seed < 0:
+        raise ValueError(f"{field} must be a nonnegative integer, got {value!r}")
+    return seed
 
 
 def _positive_real(value, field: str) -> float:
@@ -106,16 +106,14 @@ class ExperimentConfig:
     trials: int = 0
     master_seed: int = 0
     engines: tuple[str, ...] = ("exact-dp",)
-    delta_rule: str = "n"
-    block_rule: str = "half_n"
     r_max: int = 64
     budget_cells: int = DEFAULT_BUDGET_CELLS
     budget_words: int = DEFAULT_BUDGET_WORDS
 
     def __post_init__(self) -> None:
-        for name in ("environments", "trials", "master_seed", "r_max",
-                     "budget_cells", "budget_words"):
+        for name in ("environments", "trials", "r_max", "budget_cells", "budget_words"):
             object.__setattr__(self, name, _integral(getattr(self, name), name))
+        object.__setattr__(self, "master_seed", _seed(self.master_seed, "master_seed"))
         object.__setattr__(self, "n_list", tuple(_integral(n, "n_list") for n in self.n_list))
         object.__setattr__(self, "engines", tuple(self.engines))
         object.__setattr__(self, "t", _positive_real(self.t, "t"))
@@ -137,10 +135,6 @@ class ExperimentConfig:
             raise ValueError("at least one engine must be enabled")
         if "monte-carlo" in self.engines and self.trials < 1:
             raise ValueError("monte-carlo engine needs trials >= 1")
-        if self.delta_rule not in DELTA_RULES:
-            raise ValueError(f"unknown delta rule {self.delta_rule!r}")
-        if self.block_rule not in BLOCK_RULES:
-            raise ValueError(f"unknown block rule {self.block_rule!r}")
 
     def horizon(self, n: int) -> int:
         mass = self.model.marginal_cylinder_mass(self.point.prefix(n))
@@ -148,12 +142,6 @@ class ExperimentConfig:
 
     def window_length(self) -> int:
         return max(self.horizon(n) + n for n in self.n_list)
-
-    def delta_of(self, n: int) -> int:
-        return DELTA_RULES[self.delta_rule](n)
-
-    def block_of(self, n: int) -> int:
-        return BLOCK_RULES[self.block_rule](n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,16 +243,15 @@ def _environments(config: ExperimentConfig, window: int) -> list:
     ]
 
 
-def run_quenched(config: ExperimentConfig, threads: int = 0) -> list[QuenchedResult]:
+def run_quenched(config: ExperimentConfig) -> list[QuenchedResult]:
     """One result per environment, by index, with its rows in (n, engine) order.
 
     One n-major pass over environments drawn once: theta and each n's target
     and horizon are computed once, then each (n, engine) runs over the
     environments, once in all for an exact engine on an ``environment_free``
     model, else once per environment (Monte Carlo with that environment's
-    trial seed).  ``threads`` is accepted for compatibility and ignored.
+    trial seed).
     """
-    del threads
     model = config.model
     envs = _environments(config, config.window_length())
     theta = model.theta(config.point)
@@ -292,15 +279,13 @@ def run_quenched(config: ExperimentConfig, threads: int = 0) -> list[QuenchedRes
 
 
 def run_annealed(
-    config: ExperimentConfig, quenched: list[QuenchedResult] | None = None, threads: int = 0
+    config: ExperimentConfig, quenched: list[QuenchedResult] | None = None
 ) -> list[AnnealedRow]:
     """Environment-averaged laws with the same comparison columns.
 
     The rows of one (n, engine) must share one ``r_max``, as those of
     ``run_quenched`` do; the average is compared with their limit law.
-    ``threads`` is accepted for compatibility and ignored.
     """
-    del threads
     if config.environments < 2:
         raise ValueError("annealed averaging needs at least 2 environments")
     if quenched is None:

@@ -43,9 +43,6 @@ __all__ = [
     "perron_eigendata",
     "normalize_potential",
     "lift_potential",
-    "gibbs_cylinder_mass",
-    "theta_gibbs",
-    "theta_ratio_convergence",
     "fit_decay_factor",
     "bernoulli_potential",
 ]
@@ -467,18 +464,6 @@ class GibbsSystem:
 
     def marginal_symbol_weight(self, s: int) -> float:
         return self.cylinder_mass((s,))
-
-
-def gibbs_cylinder_mass(system: GibbsSystem, w) -> float:
-    return system.cylinder_mass(w)
-
-
-def theta_gibbs(system: GibbsSystem, x: PeriodicPoint) -> float:
-    return system.theta(x)
-
-
-def theta_ratio_convergence(system: GibbsSystem, x: PeriodicPoint, n_max: int):
-    return system.ratio_convergence(x, n_max)
 
 
 def fit_decay_factor(deviations, floor: float = 1e-14) -> float:

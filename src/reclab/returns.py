@@ -83,9 +83,10 @@ DEFAULT_BUDGET_CELLS = 1_000_000_000
 DEFAULT_BUDGET_WORDS = 1 << 22
 DEFAULT_BUDGET_TUPLES = 50_000_000
 DEFAULT_R_MAX = 64
-# weight tables of continuous coordinates never repeat, so the exact DP's
-# operator cache is emptied when it holds this many
-_OPERATOR_CACHE_MAX = 64
+# floats of keep and emit operators the exact DP holds at a time: a slab of
+# positions this small stays in cache, and memory does not grow with the
+# horizon
+_OPERATOR_SLAB_FLOATS = 1 << 14
 
 
 class BudgetError(RuntimeError):
@@ -177,7 +178,7 @@ def classify_pattern(pattern, block_gap: int, period: int) -> PatternClass:
         times = pattern.times
     else:
         times = tuple(int(v) for v in pattern)
-        times = ReturnPattern(times, horizon=times[-1]).times
+        times = ReturnPattern(times, horizon=max(times, default=0)).times
     if period < 1:
         raise ValueError("period must be >= 1")
     if block_gap < period:
@@ -350,10 +351,12 @@ def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
     while the chain moves from state d to state c; the last table holds for
     every later symbol.  Each step applies a linear operator to the table: a
     count-preserving part and an emitting part that shifts the count axis
-    (the last bin is absorbing).  Operators are cached per distinct weight
-    table, at most ``_OPERATOR_CACHE_MAX`` at a time; from the last change
-    of the table on, the steps go to ``_counting_steps``.  Returns the law
-    over the count bins.
+    (the last bin is absorbing).  Both parts are linear in the weight table:
+    ``_step_operators`` builds those of a slab of positions, one product of
+    the slab's weights with each ``_operator_blocks`` routing basis, into one
+    buffer of ``_OPERATOR_SLAB_FLOATS`` floats; nothing is cached.  From the
+    last change of the table on, the steps go to ``_counting_steps`` with
+    the last table's operators.  Returns the law over the count bins.
     """
     n = len(tw)
     bins = r_max + 2
@@ -369,60 +372,79 @@ def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
             q = next_state[a, q]
         dist[c * n + q, min(count, bins - 1)] += init[c]
 
-    keep_stack, emit_stack = _routing_stacks(next_state, emit, n)
-
-    def operator(table, stack):
-        return np.einsum("acd,aqr->cqdr", table, stack).reshape(joint, joint)
-
+    routes = _routing(next_state, emit, n)
     # joint states never reached from the initial support carry no mass
-    support = operator((weights != 0).any(axis=0), keep_stack + emit_stack)
+    used = (weights != 0).any(axis=0)
+    support = np.einsum("acd,akqr->cqdr", used, routes).reshape(joint, joint)
     live = _reachable(support, dist.any(axis=1))
     dist = dist[live]
-    live_block = np.ix_(live, live)
-
-    def step_operators(table):
-        keep_op = operator(table, keep_stack)[live_block]
-        emit_op = operator(table, emit_stack)[live_block]
-        return keep_op, emit_op, keep_op + emit_op, bool(emit_op.any())
+    blocks = _operator_blocks(routes, used, live)
 
     # completions before position n route normally but never count
     counting_from = max(n - first, 0)
     changes = np.flatnonzero((weights[1:] != weights[:-1]).any(axis=(1, 2, 3)))
     steady = max(counting_from, changes[-1] + 1 if changes.size else 0)
-    # hot path: the operator cache (keyed by table bytes) is read inline
-    cache: dict[bytes, tuple] = {}
-    rows = weights.reshape(len(weights), -1)
-    last = len(weights) - 1
+    if len(weights) < steady:  # the last table holds for every later symbol
+        weights = np.concatenate([weights, np.repeat(weights[-1:], steady - len(weights), axis=0)])
+    size = len(live)
+    slab = max(1, _OPERATOR_SLAB_FLOATS // (2 * size * size))
+    # one slab's keep and emit operators; every slab reuses the buffer
+    ops = np.zeros((slab, 2, size, size))
     shifted = np.empty_like(dist)
-    for i in range(steady):
-        j = i if i < last else last
-        key = rows[j].tobytes()
-        ops = cache.get(key)
-        if ops is None:
-            if len(cache) >= _OPERATOR_CACHE_MAX:
-                cache.clear()
-            ops = cache[key] = step_operators(weights[j])
-        keep_op, emit_op, both, has_emit = ops
-        if has_emit and i >= counting_from:
-            dist = _count_step(keep_op, emit_op, dist, shifted)
-        else:
-            dist = both @ dist
+    for start in range(0, steady, slab):
+        stop = min(start + slab, steady)
+        _step_operators(weights[start:stop], blocks, ops)
+        for i, keep_op, emit_op in zip(range(start, stop), ops[:, 0], ops[:, 1]):
+            if i >= counting_from:
+                dist = _count_step(keep_op, emit_op, dist, shifted)
+            else:
+                dist = (keep_op + emit_op) @ dist
     steps = length - first
     if steady < steps:
-        keep_op, emit_op, _, _ = step_operators(weights[-1])
+        _step_operators(weights[-1:], blocks, ops)
+        keep_op, emit_op = ops[0]
         dist = _counting_steps(keep_op, emit_op, dist, steps - steady)
     return dist.sum(axis=0)
 
 
-def _routing_stacks(next_state, emit, n_states):
-    """Per-symbol routing matrices (target, source), split by emission."""
+def _routing(next_state, emit, n_states):
+    """Per-symbol routing matrices (target, source), split by emission:
+    [e, 0] routes the steps that complete no match, [e, 1] those that do."""
     n_eff = next_state.shape[0]
-    keep = np.zeros((n_eff, n_states, n_states))
-    emitting = np.zeros((n_eff, n_states, n_states))
+    routes = np.zeros((n_eff, 2, n_states, n_states))
     for e in range(n_eff):
         for q in range(n_states):
-            (emitting if emit[e, q] else keep)[e, next_state[e, q], q] = 1.0
-    return keep, emitting
+            routes[e, int(emit[e, q]), next_state[e, q], q] = 1.0
+    return routes
+
+
+def _operator_blocks(routes, used, live):
+    """The blocks of the step operators over the ``live`` joint states that
+    some weight reaches: one per pair (c, d) of chain states, as (c, d,
+    target span, source span, basis).  ``live`` is sorted, so the states of
+    one chain state form a span; ``basis`` holds each symbol's keep and emit
+    routing between the two spans, flattened."""
+    chain, auto = np.divmod(live, routes.shape[-1])
+    spans = {c: slice(*np.searchsorted(chain, (c, c + 1))) for c in set(chain.tolist())}
+    return [
+        (c, d, spans[c], spans[d],
+         routes[:, :, auto[spans[c], None], auto[spans[d]]].reshape(len(routes), -1))
+        for c, d in zip(*np.nonzero(used.any(axis=0)))
+        if c in spans and d in spans
+    ]
+
+
+def _step_operators(tables, blocks, out):
+    """Write the keep and emit operators of each weight table [a, c, d] into
+    ``out[p, 0]`` and ``out[p, 1]``.  They are linear in the table: block
+    (c, d) is one product of the tables' weights [:, :, c, d] with the
+    block's basis for the whole stack; entries outside the blocks stay 0."""
+    for c, d, rows, cols, basis in blocks:
+        block = out[: len(tables), :, rows, cols]
+        if block.flags.c_contiguous:  # one chain state: the block is the operator
+            np.matmul(tables[:, :, c, d], basis, out=block.reshape(len(tables), -1))
+        else:
+            block[...] = (tables[:, :, c, d] @ basis).reshape(block.shape)
 
 
 def _count_step(keep_op, emit_op, dist, shifted):
@@ -678,6 +700,7 @@ def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, see
             codes = np.zeros(u.shape, dtype=code_type)
             for j in range(len(distinct)):
                 codes[(u >= lo[j]) & (u < hi[j])] = j + 1
+            del u  # free these uniforms before the next slab draws its own
             yield codes, classes
 
 

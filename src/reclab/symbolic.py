@@ -23,7 +23,6 @@ __all__ = [
     "SENTINEL_SYMBOL",
     "as_word",
     "minimal_period",
-    "cylinder_at",
     "self_overlaps",
 ]
 
@@ -165,11 +164,6 @@ class PeriodicPoint:
         m = self.period
         reps = n // m + 1
         return Word((self.generator.symbols * reps)[:n])
-
-
-def cylinder_at(x: PeriodicPoint, n: int) -> Word:
-    """First n symbols of the periodic extension of x: the n-cylinder word."""
-    return x.prefix(n)
 
 
 def _is_primitive(matrix) -> bool:

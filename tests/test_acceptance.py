@@ -233,7 +233,7 @@ def test_criterion_09_rare_set_decay(canonical_config):
                 )
                 r_mass, m_sum = rl.rare_vs_main_split(
                     CANONICAL_MODEL, env, target, horizon,
-                    r=2, delta=config.delta_of(n), block_gap=config.block_of(n),
+                    r=2, delta=n, block_gap=max(n // 2, 1),
                     period=1,
                 )
                 rare[n].append(r_mass)

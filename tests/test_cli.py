@@ -108,22 +108,20 @@ def test_converge_outputs_and_reproducibility(tmp_path, capsys):
         assert digest == entry["sha256"]
 
 
-def test_converge_threads_do_not_change_bytes(tmp_path):
-    config = _write_config(tmp_path, CANONICAL_CONFIG)
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(["converge", "--config", str(config), "--out", str(out1)]) == 0
-    assert main(
-        ["converge", "--config", str(config), "--out", str(out2), "--threads", "2"]
-    ) == 0
-    assert (out1 / "quenched.csv").read_bytes() == (out2 / "quenched.csv").read_bytes()
-
-
 def test_converge_seed_flag_overrides(tmp_path):
     config = _write_config(tmp_path, CANONICAL_CONFIG)
     out = tmp_path / "run"
     assert main(["converge", "--config", str(config), "--out", str(out), "--seed", "77"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 77
+
+
+def test_converge_refuses_a_negative_seed_flag(tmp_path, capsys):
+    config = _write_config(tmp_path, CANONICAL_CONFIG)
+    out = tmp_path / "run"
+    assert main(["converge", "--config", str(config), "--out", str(out), "--seed", "-1"]) == 2
+    assert "master_seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (out / "quenched.csv").exists()
 
 
 def test_out_env_var_override(tmp_path, monkeypatch):
@@ -147,6 +145,14 @@ def test_unknown_config_keys_are_fatal(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key", ["delta_rule", "block_rule"])
+def test_removed_schedule_rules_are_unknown_keys(tmp_path, key):
+    doc = json.loads(json.dumps(CANONICAL_CONFIG))
+    doc["schedule"][key] = "n"
+    with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\] in schedule"):
+        load_config(_write_config(tmp_path, doc))
+
+
 def test_empty_n_list_is_validation_error(tmp_path, capsys):
     doc = json.loads(json.dumps(CANONICAL_CONFIG))
     doc["schedule"]["n_list"] = []
@@ -167,6 +173,7 @@ def test_empty_n_list_is_validation_error(tmp_path, capsys):
         ("seeds", "environments", True),
         ("seeds", "trials", "5"),
         ("seeds", "master_seed", 1.5),
+        ("seeds", "master_seed", -1),
         ("budget", "cells", 1e9),
         ("budget", "words", "4096"),
     ],

@@ -63,8 +63,8 @@ def test_config_validation(canonical_model):
         ExperimentConfig(canonical_model, point, (4, 6), 1.0, engines=("warp",))
     with pytest.raises(ValueError):
         ExperimentConfig(canonical_model, point, (4, 6), 1.0, engines=("monte-carlo",))
-    with pytest.raises(ValueError):
-        ExperimentConfig(canonical_model, point, (4, 6), 1.0, delta_rule="bogus")
+    with pytest.raises(ValueError, match="master_seed must be a nonnegative integer"):
+        ExperimentConfig(canonical_model, point, (4, 6), 1.0, master_seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -124,15 +124,6 @@ def test_quenched_reproducibility(small_config):
     for ra, rb in zip(a, b):
         for rowa, rowb in zip(ra.rows, rb.rows):
             assert rowa.tv == rowb.tv
-            assert rowa.distribution.masses == rowb.distribution.masses
-
-
-def test_quenched_thread_count_does_not_matter(small_config):
-    a = run_quenched(small_config, threads=1)
-    b = run_quenched(small_config, threads=2)
-    for ra, rb in zip(a, b):
-        assert ra.env_index == rb.env_index
-        for rowa, rowb in zip(ra.rows, rb.rows):
             assert rowa.distribution.masses == rowb.distribution.masses
 
 

@@ -15,8 +15,6 @@ from reclab import (
     fit_decay_factor,
     normalize_potential,
     perron_eigendata,
-    theta_gibbs,
-    theta_ratio_convergence,
 )
 from reclab.models import _chain_joint_mass, _gap_expansion
 
@@ -155,9 +153,7 @@ def test_kolmogorov_consistency(depth, golden):
 
 
 def test_theta_values(coin_system, golden_system):
-    assert theta_gibbs(coin_system, PeriodicPoint(Word((0,)))) == pytest.approx(
-        0.3, abs=1e-12
-    )
+    assert coin_system.theta(PeriodicPoint(Word((0,)))) == pytest.approx(0.3, abs=1e-12)
     uniform = GibbsSystem(TransitionMatrix.full(2), bernoulli_potential([0.5, 0.5]))
     for gen in ((0,), (0, 1), (0, 0, 1)):
         x = PeriodicPoint(Word(gen))
@@ -178,19 +174,19 @@ def test_theta_matches_ratio_limit(golden):
         )
         for gen in ((0,), (0, 1)):
             x = PeriodicPoint(Word(gen))
-            rows = theta_ratio_convergence(system, x, 12)
+            rows = system.ratio_convergence(x, 12)
             n, ratio, dev = rows[-1]
             assert ratio == pytest.approx(system.theta(x), abs=1e-8)
             assert dev < 1e-8
 
 
 def test_ratio_deviations_vanish_beyond_memory(coin_system, golden_system):
-    rows = theta_ratio_convergence(coin_system, PeriodicPoint(Word((0,))), 10)
+    rows = coin_system.ratio_convergence(PeriodicPoint(Word((0,))), 10)
     assert all(dev < 1e-14 for _, _, dev in rows)
-    rows = theta_ratio_convergence(golden_system, PeriodicPoint(Word((0,))), 10)
+    rows = golden_system.ratio_convergence(PeriodicPoint(Word((0,))), 10)
     assert all(dev < 1e-14 for _, _, dev in rows)
     with pytest.raises(ValueError):
-        theta_ratio_convergence(coin_system, PeriodicPoint(Word((0, 1))), 3)
+        coin_system.ratio_convergence(PeriodicPoint(Word((0, 1))), 3)
 
 
 def test_fit_decay_factor():

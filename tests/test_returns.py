@@ -78,6 +78,13 @@ def test_classify_pattern_examples():
     assert single.j == 1 and single.total_overlap == 0.0 and single.delta is None
 
 
+def test_classify_pattern_refuses_an_empty_pattern():
+    with pytest.raises(ValueError, match="at least one time"):
+        ReturnPattern((), horizon=3)
+    with pytest.raises(ValueError, match="at least one time"):
+        classify_pattern([], block_gap=2, period=1)
+
+
 def test_classify_pattern_period_units():
     cls = classify_pattern((1, 3, 5, 20), block_gap=6, period=2)
     assert cls.j == 2
@@ -441,6 +448,29 @@ def test_moment_identity_at_production_scale():
         assert direct == pytest.approx(enum, rel=1e-10)
     assert dp.mean() == pytest.approx(
         expected_return_count(model, env, "00", horizon), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("target", [(3, 4, 5, 3), (3, 4, 5, 6)])
+def test_moment_identity_where_several_weights_meet_in_one_operator_entry(target):
+    from reclab import CountableModel
+    from reclab.returns import _automaton
+
+    model = CountableModel(0.5, alphabet_cutoff=64)
+    alphabet = list(dict.fromkeys(target)) + [object()]  # the DP's lumped symbol last
+    next_state, emit = _automaton(target, alphabet)
+    # from state 0 every symbol but the first target symbol falls back to 0,
+    # so the keep operator's (0, 0) entry sums at least three weights
+    assert ((next_state[:, 0] == 0) & ~emit[:, 0]).sum() >= 3
+    horizon = observation_time(1.0, model.marginal_cylinder_mass(target))
+    env = model.draw_environment(horizon + len(target), 5)
+    dp = exact_count_distribution(model, env, target, horizon, r_max=24)
+    assert dp.tail_mass < 1e-20
+    for k in (1, 2, 3):
+        enum = binomial_moment_enumeration(model, env, target, horizon, k)
+        assert dp.binomial_moment(k) == pytest.approx(enum, rel=1e-12)
+    assert dp.mean() == pytest.approx(
+        expected_return_count(model, env, target, horizon), rel=1e-12
     )
 
 

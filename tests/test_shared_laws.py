@@ -59,21 +59,6 @@ def test_gibbs_exact_laws_computed_once_per_n(monkeypatch):
                 assert row.tv == row0.tv
 
 
-def test_gibbs_shared_laws_do_not_depend_on_threads():
-    system = GibbsSystem(GOLDEN, Potential.constant(0.0, GOLDEN, depth=2))
-    config = ExperimentConfig(
-        system, PeriodicPoint(Word((0,))), (4, 6), 1.0,
-        environments=4, master_seed=3, trials=500,
-        engines=("exact-dp", "monte-carlo"), r_max=16,
-    )
-    a = run_quenched(config, threads=1)
-    b = run_quenched(config, threads=2)
-    for ra, rb in zip(a, b):
-        assert ra.env_index == rb.env_index
-        for rowa, rowb in zip(ra.rows, rb.rows):
-            assert rowa.distribution.masses == rowb.distribution.masses
-
-
 def test_environment_dependent_laws_are_not_shared(monkeypatch):
     model = TwoElementModel(0.3, 0.7, 0.5)
     config = ExperimentConfig(

@@ -8,7 +8,6 @@ from reclab import (
     TransitionMatrix,
     Word,
     as_word,
-    cylinder_at,
     minimal_period,
     self_overlaps,
 )
@@ -55,11 +54,11 @@ def test_periodic_point_minimality():
 
 
 def test_cylinder_at():
-    assert cylinder_at(PeriodicPoint(Word((0,))), 3).symbols == (0, 0, 0)
-    assert cylinder_at(PeriodicPoint(Word((0, 1))), 5).symbols == (0, 1, 0, 1, 0)
-    assert cylinder_at(PeriodicPoint(Word((0, 1, 2))), 4).symbols == (0, 1, 2, 0)
+    assert PeriodicPoint(Word((0,))).prefix(3).symbols == (0, 0, 0)
+    assert PeriodicPoint(Word((0, 1))).prefix(5).symbols == (0, 1, 0, 1, 0)
+    assert PeriodicPoint(Word((0, 1, 2))).prefix(4).symbols == (0, 1, 2, 0)
     with pytest.raises(ValueError):
-        cylinder_at(PeriodicPoint(Word((0, 1))), 0)
+        PeriodicPoint(Word((0, 1))).prefix(0)
 
 
 def _random_periodic_point(rng, max_period=5, alphabet=3):
