@@ -72,7 +72,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _require_object(section, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+
+
 def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
+    _require_object(section, where)
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -82,6 +88,7 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
 
 
 def _build_model(section: dict):
+    _require_object(section, "model")
     kind = section.get("kind")
     if kind == "two-element":
         _require_keys(section, {"kind", "alpha", "beta", "driving_p"},

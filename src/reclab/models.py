@@ -35,12 +35,12 @@ Every model (``reclab.gibbs.GibbsSystem`` too) serves the engines through
 one protocol: ``validate_target``, ``alphabet`` (what ``sample_words``
 draws, complete when ``tail_mass_bound`` is 0.0), ``depth`` (1 for product
 fibers), ``environment_free``, ``dp_width`` (read before any table is
-built) and ``dp_tables`` for the exact DP, ``symbol_weight_matrix``,
-``fiber_cylinder_mass``, ``marginal_cylinder_mass``, ``sample_words``,
-``draw_environment`` and ``theta_report`` (the lines of ``reclab theta``).
-A product model may add ``marginal_symbol_weights(symbols)``, the vector
-form of ``marginal_symbol_weight``, which ``MarginalModel`` reads when
-present.
+built) and ``dp_tables`` for the exact DP and ``check_psi_mixing``'s
+joint masses, ``symbol_weight_matrix``, ``fiber_cylinder_mass``,
+``marginal_cylinder_mass``, ``sample_words``, ``draw_environment`` and
+``theta_report`` (the lines of ``reclab theta``).  A product model may add
+``marginal_symbol_weights(symbols)``, the vector form of
+``marginal_symbol_weight``, which ``MarginalModel`` reads when present.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symbolic import SENTINEL_SYMBOL, PeriodicPoint, Word, as_word
+from .symbolic import SENTINEL_SYMBOL, PeriodicPoint, as_word
 
 __all__ = [
     "Environment",
@@ -166,10 +166,6 @@ class Environment:
     window: np.ndarray
     source_seed: int | str
 
-    @property
-    def length(self) -> int:
-        return len(self.window)
-
     def __len__(self) -> int:
         return len(self.window)
 
@@ -194,21 +190,13 @@ class MixingProfile:
 
     eta1 upper-bounds every one-symbol fiber weight; eta0 lower-bounds
     marginal n-cylinder decay (None when the alphabet is infinite and no
-    uniform lower bound exists).
+    uniform lower bound exists).  The mean-convergence results need
+    psi(k) k^q -> 0 for some q above 2 log(eta1) / log(eta0).
     """
 
     psi: tuple[float, ...]
     eta0: float | None
     eta1: float
-
-    @property
-    def polynomial_exponent_threshold(self) -> float | None:
-        """2 log(eta1)/log(eta0): the mean-convergence results need psi(k) k^q -> 0
-        for some q above this.  Metadata only, never enforced (and None for
-        models without a cylinder-mass lower bound)."""
-        if self.eta0 is None:
-            return None
-        return 2.0 * math.log(self.eta1) / math.log(self.eta0)
 
 
 @dataclass(frozen=True)
@@ -326,12 +314,6 @@ class _ProductModelBase:
             for k, row in enumerate(cum[:, 1:], start=i):
                 out[:, k] = symbols[np.searchsorted(row, u[:, k], side="right")]
         return out
-
-    def sample_fiber_point(
-        self, env: Environment, length: int, rng: np.random.Generator
-    ) -> Word:
-        sampled = self.sample_words(env, 0, length, 1, rng)[0]
-        return Word(tuple(int(s) for s in sampled))
 
 
 def _cumulative_weights(model, env: Environment, start: int, length: int, symbols, cells: int):
@@ -604,116 +586,47 @@ def check_psi_mixing(
     For each ordered pool pair (A, B) and gap k, compares the mass of
     "A at offset, B at offset+|A|+k" against the product of the two
     single-cylinder masses, for the marginal measure and (when an
-    environment is given) for the fiber measure.  Product models should
-    come out at zero to rounding.
+    environment is given) for the fiber measure.  Each joint mass is one
+    ``_pattern_mass`` pass, independent of the single masses.  Product
+    models should come out at zero to rounding.
     """
-    words = [as_word(w) for w in cylinder_pool]
-    worst_marginal = 0.0
-    worst_fiber = 0.0
-    pairs = 0
-    for a in words:
-        for b in words:
-            for k in k_list:
-                if k < 0:
-                    raise ValueError("gaps must be nonnegative")
-                pairs += 1
-                ma = model.marginal_cylinder_mass(a)
-                mb = model.marginal_cylinder_mass(b)
-                joint = _marginal_joint_mass(model, a, b, k)
-                if ma * mb > 0:
-                    worst_marginal = max(
-                        worst_marginal, abs(joint - ma * mb) / (ma * mb)
-                    )
-                if environment is not None:
-                    fa = model.fiber_cylinder_mass(environment, a, offset)
-                    shift = offset + len(a) + k
-                    fb = model.fiber_cylinder_mass(environment, b, shift)
-                    fj = _fiber_joint_mass(model, environment, a, b, k, offset)
-                    if fa * fb > 0:
-                        worst_fiber = max(worst_fiber, abs(fj - fa * fb) / (fa * fb))
-    return MixingReport(
-        max_marginal_deviation=worst_marginal,
-        max_fiber_deviation=worst_fiber,
-        pairs_checked=pairs,
-    )
+    words = [as_word(w).symbols for w in cylinder_pool]
+    if any(k < 0 for k in k_list):
+        raise ValueError("gaps must be nonnegative")
+    marginal = model if model.environment_free else MarginalModel(model)
+    worst_marginal = worst_fiber = 0.0
+    for a, b, k in itertools.product(words, words, k_list):
+        pattern = a + (None,) * k + b
+        # the marginal weights read no coordinate; the window sets the length
+        blank = Environment(window=np.zeros(len(pattern)), source_seed=0)
+        product = model.marginal_cylinder_mass(a) * model.marginal_cylinder_mass(b)
+        joint = _pattern_mass(marginal, blank, pattern)
+        worst_marginal = max(worst_marginal, _deviation(joint, product))
+        if environment is not None:
+            product = model.fiber_cylinder_mass(environment, a, offset) * (
+                model.fiber_cylinder_mass(environment, b, offset + len(a) + k))
+            joint = _pattern_mass(model, environment, (None,) * offset + pattern)
+            worst_fiber = max(worst_fiber, _deviation(joint, product))
+    return MixingReport(worst_marginal, worst_fiber, len(words) ** 2 * len(k_list))
 
 
-def _gap_expansion(model, a: Word, b: Word, k: int, mass) -> float | None:
-    """Sum of ``mass`` over the full cylinders A.g.B, g over all gap words of
-    length k, when the alphabet is complete and that is at most 4096 words
-    (2**12 for two symbols); None otherwise."""
-    if model.tail_mass_bound > 0.0 or len(model.alphabet) ** k > 4096:
-        return None
-    gaps = itertools.product(model.alphabet, repeat=k)
-    return sum(mass(Word(a.symbols + gap + b.symbols)) for gap in gaps)
+def _deviation(joint: float, product: float) -> float:
+    return abs(joint - product) / product if product > 0 else 0.0
 
 
-def _marginal_joint_mass(model, a: Word, b: Word, k: int) -> float:
-    """Mass of {A at 0} intersect {B at |A|+k} under the marginal measure.
-
-    For a complete alphabet and a small gap the intersection is expanded as
-    a sum of full cylinders A.g.B over all gap words g, which exercises the
-    independence claim for real instead of assuming it; otherwise the gap
-    positions are integrated out directly: through the k-step transition
-    matrix of a Markov chain (depth > 1), as a product of one-symbol
-    weights for product fibers.
-    """
-    expanded = _gap_expansion(model, a, b, k, model.marginal_cylinder_mass)
-    if expanded is not None:
-        return expanded
-    if model.depth > 1:
-        return _chain_joint_mass(model, a, b, k)
-    out = 1.0
-    for s in a.symbols + b.symbols:
-        out *= model.marginal_symbol_weight(s)
-    return out
-
-
-def _chain_joint_mass(model, a: Word, b: Word, k: int) -> float:
-    """Mass of {A at 0} intersect {B at |A|+k} under the stationary chain of
-    ``model.chain_tables()``: a forward pass over the chain states, the
-    start state spelling the first depth - 1 symbols, then one step per
-    symbol of B and of A past the start, and the k-step transition matrix
-    over the free gap."""
-    init, nxt, prob = model.chain_tables()
-    n_states, size = prob.shape
-    steps = np.zeros((size, n_states, n_states))
-    steps[np.arange(size)[:, None], np.arange(n_states), nxt.T] = prob.T
-    head = model.depth - 1
-    pattern = a.symbols + (None,) * k + b.symbols
-    # zip stops at the shorter, so a pattern shorter than a state constrains
-    # only its own positions
-    mass = np.array([
-        p if all(c is None or c == s for c, s in zip(pattern, state)) else 0.0
-        for p, state in zip(init, model.states)
-    ])
-    i = head
-    while i < len(pattern):
-        if pattern[i] is None:
-            free = len(a) + k - i
-            mass = mass @ np.linalg.matrix_power(steps.sum(axis=0), free)
-            i += free
-        else:
-            mass = mass @ steps[pattern[i]]
-            i += 1
+def _pattern_mass(model, env: Environment, pattern) -> float:
+    """Mass of the words that carry pattern[i] at position i wherever it is
+    not None (any symbol there): one forward pass over ``model.dp_tables``,
+    the chain the exact DP reads.  The start states are weighted by whether
+    they spell the pattern's head; then a fixed position applies its
+    symbol's table, a free one the sum over symbols."""
+    pattern = tuple(pattern) + (None,) * (model.depth - 1 - len(pattern))
+    fixed = tuple(s for s in pattern if s is not None)
+    alphabet, states, init, tables = model.dp_tables(env, fixed, len(pattern))
+    head = len(states[0])
+    mass = np.array([p * all(c is None or alphabet.index(c) == s for c, s in zip(pattern, state))
+                     for p, state in zip(init, states)])
+    for i, c in enumerate(pattern[head:]):
+        table = tables[min(i, len(tables) - 1)]
+        mass = (table.sum(axis=0) if c is None else table[alphabet.index(c)]) @ mass
     return float(mass.sum())
-
-
-def _fiber_joint_mass(model, env: Environment, a: Word, b: Word, k: int, offset: int) -> float:
-    expanded = _gap_expansion(
-        model, a, b, k, lambda w: model.fiber_cylinder_mass(env, w, offset)
-    )
-    if expanded is not None:
-        return expanded
-    if model.depth > 1:
-        # the fiber measure of a Markov (Gibbs) system is its stationary chain
-        return _chain_joint_mass(model, a, b, k)
-    span = len(a) + k + len(b)
-    symbols = a.symbols + b.symbols
-    mat = model.symbol_weight_matrix(env, offset, span, symbols)
-    out = 1.0
-    for i, _ in enumerate(a.symbols):
-        out *= mat[i, i]
-    for j, _ in enumerate(b.symbols):
-        out *= mat[len(a) + k + j, len(a) + j]
-    return float(out)

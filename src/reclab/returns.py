@@ -28,11 +28,12 @@ distribution of this count when z is drawn from a fiber measure:
 
 Each engine checks the target with the model's ``validate_target`` and
 reads only the protocol listed in ``reclab.models``: the DP ``dp_width``
-and ``dp_tables``; enumeration a complete ``alphabet``, ``depth`` and
-``symbol_weight_matrix``, or ``fiber_cylinder_mass`` per word when
-``depth`` > 1; Monte Carlo ``alphabet``, then ``symbol_weight_matrix``
-and ``tail_mass_bound`` at depth 1, ``sample_words`` at depth > 1; the
-moment layer ``symbol_weight_matrix``.
+and ``dp_tables`` (whose chain ``models.check_psi_mixing`` reads too);
+enumeration a complete ``alphabet``, ``depth`` and ``symbol_weight_matrix``,
+or ``fiber_cylinder_mass`` per word when ``depth`` > 1; Monte Carlo
+``alphabet``, then ``symbol_weight_matrix`` and ``tail_mass_bound`` at
+depth 1, ``sample_words`` at depth > 1; the moment layer
+``symbol_weight_matrix``.
 
 The module also implements the return-pattern taxonomy used by the moment
 method: increasing return-time tuples, their decomposition into blocks of
@@ -154,11 +155,13 @@ def count_returns(z, target, horizon: int) -> int:
 
 
 def observation_time(t: float, cylinder_mass: float) -> int:
-    """floor(t / mass); errors when the window would be empty."""
+    """floor(t / mass); errors when the window would be empty or infinite."""
     if not (t > 0.0):
         raise ValueError(f"t must be positive, got {t}")
     if not (cylinder_mass > 0.0):
         raise ValueError(f"cylinder mass must be positive, got {cylinder_mass}")
+    if not math.isfinite(t / cylinder_mass):
+        raise ValueError(f"observation window is not finite: t={t}, mass={cylinder_mass}")
     horizon = int(t / cylinder_mass)
     if horizon == 0:
         raise ValueError(
@@ -594,17 +597,6 @@ def _sampled_words(model, env: Environment, length: int, trials: int, seed, chun
         yield model.sample_words(env, 0, length, take, rng)
 
 
-def _window_matches(words, target, horizon: int):
-    """For j = 1..horizon in turn, the mask of the rows of ``words`` (rows,
-    length) whose window ``words[:, j : j + len(target)]`` equals the target:
-    the columns of ``_window_mask``, one at a time."""
-    for j in range(1, horizon + 1):
-        match = np.ones(words.shape[0], dtype=bool)
-        for d, s in enumerate(target):
-            match &= words[:, j + d] == s
-        yield match
-
-
 def _window_mask(words, target, horizon: int) -> np.ndarray:
     """(rows, horizon) mask: [r, j - 1] is set when the target occurs in row r
     of ``words`` at offset j in [1, horizon]; one slice compare per target
@@ -682,6 +674,8 @@ def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, see
     streams, compared with the intervals of ``_class_bounds``, and no other
     symbol is resolved.  At depth > 1 the codes are ``sample_words``' words
     and the classes the target itself.
+    Every depth-1 slab reuses one set of uniforms, code and comparison
+    buffers; each consumer reduces a slab before it asks for the next.
     """
     length = horizon + len(tw)
     if model.depth > 1:
@@ -691,16 +685,21 @@ def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, see
     distinct = sorted(set(tw), key=model.alphabet.index)
     lo, hi = _class_bounds(model, env, distinct, length)
     classes = [distinct.index(s) + 1 for s in tw]
-    code_type = np.min_scalar_type(len(distinct))
     # rows drawn one slab after another read the generator's stream in order
-    rows = max(1, _SLAB_CELLS // length)
+    rows = min(max(1, _SLAB_CELLS // length), chunk, trials)
+    u_buf = np.empty((rows, length))
+    code_buf = np.empty((rows, length), dtype=np.min_scalar_type(len(distinct)))
+    hit_buf = np.empty((2, rows, length), dtype=bool)
     for take, rng in _chunk_streams(trials, seed, chunk):
         for done in range(0, take, rows):
-            u = rng.random((min(rows, take - done), length))
-            codes = np.zeros(u.shape, dtype=code_type)
+            m = min(rows, take - done)
+            u, codes, (hit, below) = u_buf[:m], code_buf[:m], hit_buf[:, :m]
+            rng.random(out=u)
+            codes.fill(0)
             for j in range(len(distinct)):
-                codes[(u >= lo[j]) & (u < hi[j])] = j + 1
-            del u  # free these uniforms before the next slab draws its own
+                np.greater_equal(u, lo[j], out=hit)
+                hit &= np.less(u, hi[j], out=below)
+                np.copyto(codes, j + 1, where=hit)
             yield codes, classes
 
 

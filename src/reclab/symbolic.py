@@ -198,9 +198,6 @@ class TransitionMatrix:
     def full(cls, size: int) -> "TransitionMatrix":
         return cls(np.ones((size, size), dtype=np.int8))
 
-    def allows(self, a: int, b: int) -> bool:
-        return bool(self.matrix[a, b])
-
     def is_full(self) -> bool:
         return bool(self.matrix.all())
 

@@ -185,6 +185,37 @@ def test_config_numbers_of_the_wrong_type_are_fatal(tmp_path, section, key, valu
         load_config(_write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "section, replace",
+    [
+        ("config", lambda doc: [doc]),
+        ("model", lambda doc: {**doc, "model": 5}),
+        ("model.potential", lambda doc: {**doc, "model": {
+            "kind": "gibbs", "transitions": [[1, 1], [1, 0]], "potential": 5}}),
+        ("point", lambda doc: {**doc, "point": 7}),
+        ("schedule", lambda doc: {**doc, "schedule": [1.0, [4]]}),
+        ("seeds", lambda doc: {**doc, "seeds": 7}),
+        ("budget", lambda doc: {**doc, "budget": 100}),
+    ],
+)
+def test_config_sections_that_are_not_objects_are_fatal(tmp_path, capsys, section, replace):
+    config = _write_config(tmp_path, replace(CANONICAL_CONFIG))
+    with pytest.raises(ConfigError, match=f"^{section} must be a JSON object"):
+        load_config(config)
+    assert main(["converge", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+
+def test_converge_refuses_a_window_too_long_for_a_float(tmp_path, capsys):
+    doc = json.loads(json.dumps(CANONICAL_CONFIG))
+    doc["model"].update(alpha=0.5, beta=0.5)
+    doc["schedule"]["n_list"] = [1060]
+    out = tmp_path / "run"
+    assert main(["converge", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert "observation window is not finite: t=1.0" in capsys.readouterr().err
+    assert not (out / "quenched.csv").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["converge", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
     assert rc == 2

@@ -16,7 +16,6 @@ from reclab import (
     normalize_potential,
     perron_eigendata,
 )
-from reclab.models import _chain_joint_mass, _gap_expansion
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -237,8 +236,8 @@ def _brute_deviation(system, pool, k):
 
 
 def test_psi_mixing_of_a_markov_chain_past_the_gap_expansion(golden_system):
-    # 2**13 gap words: past the expansion limit, so the gap goes through the
-    # chain's 13-step transition matrix instead of a product of symbol weights
+    # the gap is a run of free steps of the chain, never a product of
+    # one-symbol weights; the brute force sums 2**13 gap words
     pool = [(0,), (0, 1)]
     env = golden_system.draw_environment(64, 0)
     deviations = {}
@@ -248,23 +247,6 @@ def test_psi_mixing_of_a_markov_chain_past_the_gap_expansion(golden_system):
         deviations[k] = report.max_marginal_deviation
     assert deviations[13] == pytest.approx(_brute_deviation(golden_system, pool, 13), rel=1e-6)
     assert deviations[20] < deviations[13] < deviations[12] < 1e-5
-
-
-def test_chain_joint_mass_equals_the_gap_expansion():
-    # depth 4 on the full 2-shift: three head symbols, so the patterns below
-    # include ones shorter than the start state
-    full = TransitionMatrix.full(2)
-    rng = np.random.default_rng(11)
-    words = full.admissible_tuples(4)
-    system = GibbsSystem(full, Potential(4, dict(zip(words, rng.normal(size=len(words))))))
-    pool = [Word((0,)), Word((1, 1)), Word((1, 0, 1, 1))]
-    for a in pool:
-        for b in pool:
-            for k in range(5):
-                expanded = _gap_expansion(system, a, b, k, system.cylinder_mass)
-                assert _chain_joint_mass(system, a, b, k) == pytest.approx(
-                    expanded, rel=1e-12, abs=1e-15
-                )
 
 
 def test_periodic_pattern_is_refused_at_both_primitivity_checks():

@@ -138,13 +138,6 @@ def test_degenerate_weights_ignore_the_environment():
     assert np.array_equal(words_a, words_b)
 
 
-def test_sample_fiber_point_reproducible(two_elt):
-    env = two_elt.draw_environment(12, 1)
-    w1 = two_elt.sample_fiber_point(env, 12, np.random.default_rng(9))
-    w2 = two_elt.sample_fiber_point(env, 12, np.random.default_rng(9))
-    assert w1 == w2
-
-
 def test_marginal_is_environment_average(two_elt):
     # one long window sliced into many independent environments
     n_envs, width = 20_000, 3
@@ -163,13 +156,13 @@ def test_condition_iv_witness(two_elt, countable):
     assert profile.eta1 >= max(0.3, 0.7, 1 - 0.3, 1 - 0.7)
     assert 0.0 < profile.eta0 <= min(0.3, 0.7, 1 - 0.3, 1 - 0.7)
     assert all(v == 0.0 for v in profile.psi)
-    assert profile.polynomial_exponent_threshold == pytest.approx(
-        2 * math.log(0.7) / math.log(0.3)
-    )
+    # the mean-convergence results need psi(k) k^q -> 0 for some q above
+    # 2 log(eta1) / log(eta0); psi is 0 here, so every q will do
+    threshold = 2.0 * math.log(profile.eta1) / math.log(profile.eta0)
+    assert threshold == pytest.approx(2 * math.log(0.7) / math.log(0.3))
     cprofile = countable.mixing_profile()
     assert cprofile.eta1 < 1.0
-    assert cprofile.eta0 is None
-    assert cprofile.polynomial_exponent_threshold is None
+    assert cprofile.eta0 is None  # no threshold without a cylinder-mass lower bound
 
 
 def test_check_psi_mixing_product_models(two_elt):
@@ -180,6 +173,11 @@ def test_check_psi_mixing_product_models(two_elt):
     assert report.max_marginal_deviation < 1e-12
     assert report.max_fiber_deviation < 1e-12
     assert report.pairs_checked == 27
+    # the fiber pair sits past the offset, where the weights differ
+    shifted = check_psi_mixing(
+        two_elt, k_list=[0, 1, 3], cylinder_pool=["0", "01", "110"], environment=env, offset=5
+    )
+    assert shifted.max_fiber_deviation < 1e-12
 
 
 def test_check_psi_mixing_countable(countable):

@@ -22,7 +22,7 @@ from reclab import (
     monte_carlo_count_distribution,
 )
 from reclab import returns
-from reclab.returns import _sampled_words, _window_counts, _window_matches
+from reclab.returns import _sampled_words, _window_counts
 
 TWO = TwoElementModel(0.3, 0.7, 0.5)
 COUNTABLE = CountableModel(0.5, alphabet_cutoff=64)
@@ -37,6 +37,17 @@ CASES = [
     for target in targets
 ]
 HORIZON, TRIALS, CHUNK, R_MAX = 300, 3_000, 1_024, 12
+
+
+def _window_matches(words, target, horizon: int):
+    """For j = 1..horizon in turn, the mask of the rows of ``words`` (rows,
+    length) whose window ``words[:, j : j + len(target)]`` equals the target:
+    the columns of ``returns._window_mask``, one at a time."""
+    for j in range(1, horizon + 1):
+        match = np.ones(words.shape[0], dtype=bool)
+        for d, s in enumerate(target):
+            match &= words[:, j + d] == s
+        yield match
 
 
 def _law_of_sampled_words(model, env, target, seed):

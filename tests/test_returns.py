@@ -51,6 +51,12 @@ def test_observation_time():
         observation_time(1.0, 0.0)
 
 
+def test_observation_time_refuses_a_window_too_long_for_a_float():
+    mass = 0.5**1060  # subnormal: t / mass overflows to infinity
+    with pytest.raises(ValueError, match=f"not finite: t=1.0, mass={mass}"):
+        observation_time(1.0, mass)
+
+
 def test_return_pattern_validation():
     ReturnPattern((1, 5, 9), horizon=9)
     with pytest.raises(ValueError):
