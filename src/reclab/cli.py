@@ -87,18 +87,26 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _number(value, field: str):
+    """``value`` when it is a JSON number, else a ConfigError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    return value
+
+
 def _build_model(section: dict):
     _require_object(section, "model")
     kind = section.get("kind")
     if kind == "two-element":
-        _require_keys(section, {"kind", "alpha", "beta", "driving_p"},
-                      {"kind", "alpha", "beta", "driving_p"}, "model")
-        return TwoElementModel(section["alpha"], section["beta"], section["driving_p"])
+        keys = ("alpha", "beta", "driving_p")
+        _require_keys(section, {"kind", *keys}, {"kind", *keys}, "model")
+        return TwoElementModel(*(_number(section[key], f"model.{key}") for key in keys))
     if kind == "countable":
         _require_keys(section, {"kind", "epsilon", "alphabet_cutoff"},
                       {"kind", "epsilon"}, "model")
         return CountableModel(
-            section["epsilon"], section.get("alphabet_cutoff", 16384)
+            _number(section["epsilon"], "model.epsilon"),
+            _integral(section.get("alphabet_cutoff", 16384), "model.alphabet_cutoff"),
         )
     if kind == "gibbs":
         _require_keys(section, {"kind", "transitions", "potential"},
@@ -109,19 +117,25 @@ def _build_model(section: dict):
 
 
 def _build_potential(section: dict, transitions: TransitionMatrix) -> Potential:
-    _require_keys(section, {"depth", "values", "constant", "bernoulli"}, set(),
-                  "model.potential")
+    where = "model.potential"
+    _require_keys(section, {"depth", "values", "constant", "bernoulli"}, set(), where)
+    depth = _integral(section.get("depth", 1), f"{where}.depth")
     if "bernoulli" in section:
-        return bernoulli_potential(section["bernoulli"], section.get("depth", 1))
-    depth = section.get("depth")
-    if depth is None:
-        raise ConfigError("model.potential needs a depth")
+        weights = section["bernoulli"]
+        if not isinstance(weights, list):
+            raise ConfigError(f"{where}.bernoulli must be a list of numbers, got {weights!r}")
+        return bernoulli_potential([_number(w, f"{where}.bernoulli") for w in weights], depth)
+    if "depth" not in section:
+        raise ConfigError(f"{where} needs a depth")
     if "constant" in section:
-        return Potential.constant(section["constant"], transitions, depth)
+        return Potential.constant(_number(section["constant"], f"{where}.constant"),
+                                  transitions, depth)
     if "values" not in section:
-        raise ConfigError("model.potential needs values, constant, or bernoulli")
-    values = {as_word(k).symbols: float(v) for k, v in section["values"].items()}
-    return Potential(depth, values)
+        raise ConfigError(f"{where} needs values, constant, or bernoulli")
+    values = section["values"]
+    _require_object(values, f"{where}.values")
+    return Potential(depth, {as_word(k).symbols: _number(v, f"{where}.values[{k!r}]")
+                             for k, v in values.items()})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -129,10 +143,10 @@ def load_config(path) -> ExperimentConfig:
     doc = json.loads(raw)
     _require_keys(doc, {"model", "point", "schedule", "engines", "seeds", "budget"},
                   {"model", "point", "schedule", "engines", "seeds"}, "config")
-    model = _build_model(doc["model"])
     _require_keys(doc["point"], {"generator"}, {"generator"}, "point")
     gen = doc["point"]["generator"]
-    point = PeriodicPoint(as_word(gen if isinstance(gen, str) else tuple(gen)))
+    if not isinstance(gen, (str, list)):
+        raise ConfigError(f"point.generator must be a string or a list of symbols, got {gen!r}")
     sched = doc["schedule"]
     _require_keys(sched, {"t", "n_list", "r_max"}, {"t", "n_list"}, "schedule")
     seeds = doc["seeds"]
@@ -146,18 +160,15 @@ def load_config(path) -> ExperimentConfig:
     n_list = sched["n_list"]
     if not isinstance(n_list, list):
         raise ConfigError(f"schedule.n_list must be a list of integers, got {n_list!r}")
-    t = sched["t"]
-    if isinstance(t, bool) or not isinstance(t, (int, float)):
-        raise ConfigError(f"schedule.t must be a number, got {t!r}")
-    # the integer checks name the config key; ValueErrors become ConfigErrors
+    # the checks name the config key; ValueErrors become ConfigErrors
     try:
         kwargs = {f"budget_{key}": _integral(budget[key], f"budget.{key}")
                   for key in ("cells", "words") if key in budget}
         return ExperimentConfig(
-            model=model,
-            point=point,
+            model=_build_model(doc["model"]),
+            point=PeriodicPoint(as_word(gen)),
             n_list=tuple(_integral(n, "schedule.n_list") for n in n_list),
-            t=t,
+            t=_number(sched["t"], "schedule.t"),
             environments=_integral(seeds["environments"], "seeds.environments"),
             trials=_integral(seeds.get("trials", 0), "seeds.trials"),
             master_seed=_seed(seeds["master_seed"], "seeds.master_seed"),

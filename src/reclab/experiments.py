@@ -380,15 +380,16 @@ def theta_cluster_estimate(
     estimates theta.  (Dividing by the gap count instead is biased upward:
     a window whose last cluster is cut off by the horizon contributes its
     returns but no closing long gap.)  The returns are read off Monte
-    Carlo's samples, a slab of rows at a time: class codes on product
-    fibers, words at depth > 1.  Returns NaN without any returns.
+    Carlo's samples, a slab of rows at a time, as class masks: drawn
+    straight from the uniforms on product fibers, read off the sampled
+    words at depth > 1.  Returns NaN without any returns.
     """
     tw = _checked_sampling(model, target, horizon, trials)
     if period < 1:
         raise ValueError("period must be >= 1")
     at_period = returns_total = 0
-    for codes, classes in _sampled_classes(model, env, tw, horizon, trials, seed, chunk=2048):
-        mask = _window_mask(codes, classes, horizon)
+    for hits, classes in _sampled_classes(model, env, tw, horizon, trials, seed, chunk=2048):
+        mask = _window_mask(hits, classes, horizon)
         returns_total += int(mask.sum())
         at_period += int((mask[:, period:] & mask[:, :-period]).sum())
     if returns_total == 0:

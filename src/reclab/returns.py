@@ -21,10 +21,10 @@ distribution of this count when z is drawn from a fiber measure:
 * ``monte_carlo_count_distribution`` -- empirical law over sampled words;
   on product fibers each position is drawn straight into its class (which
   distinct target symbol, or none), from the same uniforms and the same
-  partition (``models._cumulative_weights``) as ``sample_words``.  The
-  samples come in slabs of rows from ``_sampled_classes``, and
-  ``_window_mask`` marks where the target occurs in them; the cluster
-  estimator ``experiments.theta_cluster_estimate`` reads the same masks.
+  partition (``models._cumulative_weights``) as ``sample_words``.
+  ``_sampled_classes`` yields class masks in slabs of ``_MC_SLAB_FLOATS``
+  uniforms, and ``_window_mask`` marks where the target occurs in them; the
+  cluster estimator ``experiments.theta_cluster_estimate`` reads them too.
 
 Each engine checks the target with the model's ``validate_target`` and
 reads only the protocol listed in ``reclab.models``: the DP ``dp_width``
@@ -88,6 +88,7 @@ DEFAULT_R_MAX = 64
 # positions this small stays in cache, and memory does not grow with the
 # horizon
 _OPERATOR_SLAB_FLOATS = 1 << 14
+_MC_SLAB_FLOATS = 1 << 16  # uniforms per Monte Carlo slab: with its masks, it stays in L2
 
 
 class BudgetError(RuntimeError):
@@ -597,20 +598,21 @@ def _sampled_words(model, env: Environment, length: int, trials: int, seed, chun
         yield model.sample_words(env, 0, length, take, rng)
 
 
-def _window_mask(words, target, horizon: int) -> np.ndarray:
+def _window_mask(hits, classes, horizon: int) -> np.ndarray:
     """(rows, horizon) mask: [r, j - 1] is set when the target occurs in row r
-    of ``words`` at offset j in [1, horizon]; one slice compare per target
-    symbol."""
-    match = words[:, 1 : 1 + horizon] == target[0]
-    for d, s in enumerate(target[1:], start=1):
-        match &= words[:, 1 + d : 1 + d + horizon] == s
+    at offset j in [1, horizon]; ``hits[classes[d]]`` masks where the
+    target's d-th symbol sits, and each target symbol costs one slice AND."""
+    match = hits[classes[0]][:, 1 : 1 + horizon].copy()
+    for d, c in enumerate(classes[1:], start=1):
+        match &= hits[c][:, 1 + d : 1 + d + horizon]
     return match
 
 
 def _window_counts(words, target, horizon: int) -> np.ndarray:
     """Per row of ``words``, the number of offsets j in [1, horizon] where the
     target occurs."""
-    return _window_mask(words, target, horizon).sum(axis=1, dtype=np.int64)
+    hits = {s: words == s for s in target}
+    return _window_mask(hits, target, horizon).sum(axis=1, dtype=np.int64)
 
 
 def _all_words(alphabet_size: int, length: int) -> np.ndarray:
@@ -639,19 +641,21 @@ def monte_carlo_count_distribution(
     symbol the sampler can never draw (above a countable model's
     ``alphabet_cutoff``) is rejected; the exact engine handles it.
     """
-    tw = _checked_sampling(model, target, horizon, trials, r_max)
+    tw = _checked_sampling(model, target, horizon, trials, r_max, chunk)
     hist = np.zeros(r_max + 2, dtype=np.int64)
-    for codes, classes in _sampled_classes(model, env, tw, horizon, trials, seed, chunk):
-        counts = _window_counts(codes, classes, horizon)
-        np.add.at(hist, np.minimum(counts, r_max + 1), 1)
+    for hits, classes in _sampled_classes(model, env, tw, horizon, trials, seed, chunk):
+        counts = _window_mask(hits, classes, horizon).sum(axis=1, dtype=np.int64)
+        hist += np.bincount(np.minimum(counts, r_max + 1), minlength=r_max + 2)
     masses = tuple(float(h) / trials for h in hist[: r_max + 1])
     tail = float(hist[r_max + 1]) / trials
     return CountDistribution(masses=masses, tail_mass=tail, provenance="monte-carlo")
 
 
-def _checked_sampling(model, target, horizon: int, trials: int, r_max: int = 0) -> tuple[int, ...]:
+def _checked_sampling(
+    model, target, horizon: int, trials: int, r_max: int = 0, chunk: int = 1
+) -> tuple[int, ...]:
     """``_checked_target`` for the sampling engines, which also need a target
-    the sampler can draw and at least one trial."""
+    the sampler can draw, at least one trial and at least one row per chunk."""
     tw = _checked_target(model, target, horizon, r_max)
     outside = [s for s in tw if s not in model.alphabet]
     if outside:
@@ -659,48 +663,47 @@ def _checked_sampling(model, target, horizon: int, trials: int, r_max: int = 0) 
                          f"{model.alphabet}, past the sampling cutoff: sampled words never contain it")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     return tw
 
 
 def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, seed, chunk: int):
-    """(codes, classes) per slab of rows of ``trials`` samples of
-    horizon + len(tw) positions: the target occurs in a row of ``codes``
-    where ``classes`` does.
+    """(hits, classes) per slab of rows of ``trials`` samples of
+    horizon + len(tw) positions: ``hits[classes[d]]`` is the (rows, length)
+    mask of the positions holding the target's d-th symbol, one mask per
+    distinct target symbol.
 
     At depth 1 a return needs only the class of each position: which
     distinct target symbol, if any, sits there.  Each position is drawn from
-    one uniform, so the class codes (0 for "other", j + 1 for the j-th
-    distinct target symbol) come from the uniforms of ``sample_words``' own
-    streams, compared with the intervals of ``_class_bounds``, and no other
-    symbol is resolved.  At depth > 1 the codes are ``sample_words``' words
-    and the classes the target itself.
-    Every depth-1 slab reuses one set of uniforms, code and comparison
-    buffers; each consumer reduces a slab before it asks for the next.
+    one uniform, so the class masks come from the uniforms of ``sample_words``'
+    own streams compared with the intervals of ``_class_bounds``; no other
+    symbol is resolved.  Slabs of about ``_MC_SLAB_FLOATS`` uniforms reuse
+    one uniforms and one mask buffer (its last plane is scratch); each
+    consumer reduces a slab before it asks for the next.  At depth > 1 the
+    masks compare ``sample_words``' words with each distinct target symbol.
     """
     length = horizon + len(tw)
+    distinct = sorted(set(tw), key=model.alphabet.index)
+    classes = [distinct.index(s) for s in tw]
     if model.depth > 1:
         for words in _sampled_words(model, env, length, trials, seed, chunk):
-            yield words, tw
+            yield [words == s for s in distinct], classes
         return
-    distinct = sorted(set(tw), key=model.alphabet.index)
     lo, hi = _class_bounds(model, env, distinct, length)
-    classes = [distinct.index(s) + 1 for s in tw]
     # rows drawn one slab after another read the generator's stream in order
-    rows = min(max(1, _SLAB_CELLS // length), chunk, trials)
+    rows = min(max(1, _MC_SLAB_FLOATS // length), chunk, trials)
     u_buf = np.empty((rows, length))
-    code_buf = np.empty((rows, length), dtype=np.min_scalar_type(len(distinct)))
-    hit_buf = np.empty((2, rows, length), dtype=bool)
+    hit_buf = np.empty((len(distinct) + 1, rows, length), dtype=bool)
     for take, rng in _chunk_streams(trials, seed, chunk):
         for done in range(0, take, rows):
             m = min(rows, take - done)
-            u, codes, (hit, below) = u_buf[:m], code_buf[:m], hit_buf[:, :m]
+            u, hits = u_buf[:m], hit_buf[:, :m]
             rng.random(out=u)
-            codes.fill(0)
             for j in range(len(distinct)):
-                np.greater_equal(u, lo[j], out=hit)
-                hit &= np.less(u, hi[j], out=below)
-                np.copyto(codes, j + 1, where=hit)
-            yield codes, classes
+                np.greater_equal(u, lo[j], out=hits[j])
+                hits[j] &= np.less(u, hi[j], out=hits[-1])
+            yield hits, classes
 
 
 def _class_bounds(model, env: Environment, distinct, length: int):

@@ -206,6 +206,25 @@ def test_config_sections_that_are_not_objects_are_fatal(tmp_path, capsys, sectio
     assert f"{section} must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, replace",
+    [
+        ("point.generator", lambda doc: {**doc, "point": {"generator": 5}}),
+        ("model.alpha", lambda doc: {**doc, "model": {**doc["model"], "alpha": "x"}}),
+        ("model.epsilon", lambda doc: {**doc, "model": {"kind": "countable", "epsilon": [1]}}),
+        ("model.potential.values", lambda doc: {**doc, "model": {
+            "kind": "gibbs", "transitions": [[1, 1], [1, 0]],
+            "potential": {"depth": 2, "values": 5}}}),
+    ],
+)
+def test_config_fields_of_the_wrong_type_are_fatal(tmp_path, capsys, key, replace):
+    config = _write_config(tmp_path, replace(CANONICAL_CONFIG))
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        load_config(config)
+    assert main(["converge", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_converge_refuses_a_window_too_long_for_a_float(tmp_path, capsys):
     doc = json.loads(json.dumps(CANONICAL_CONFIG))
     doc["model"].update(alpha=0.5, beta=0.5)

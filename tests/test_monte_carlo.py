@@ -4,9 +4,11 @@ At depth 1 each position's uniform is mapped straight to its class (which
 distinct target symbol, or none).  Over the same streams and the same
 partition as ``sample_words`` this must give the law of the sampled words
 bit for bit, whatever the slab size: every sampled symbol lies in the class
-its uniform falls in.  The vectorised window counter must keep the integers
-of the streaming window masks, and countable Monte Carlo must agree with the
-exact DP within its sampling error.
+its uniform falls in.  At depth > 1 the class masks compare the sampled
+words themselves, with the same result.  The vectorised window counter and
+the cluster estimator must keep the integers of the streaming window masks,
+and countable Monte Carlo must agree with the exact DP within its sampling
+error.
 """
 
 import numpy as np
@@ -16,10 +18,14 @@ from hypothesis import strategies as st
 
 from reclab import (
     CountableModel,
+    GibbsSystem,
     MarginalModel,
+    Potential,
+    TransitionMatrix,
     TwoElementModel,
     exact_count_distribution,
     monte_carlo_count_distribution,
+    theta_cluster_estimate,
 )
 from reclab import returns
 from reclab.returns import _sampled_words, _window_counts
@@ -35,6 +41,16 @@ CASES = [
         ("marginal-countable", MarginalModel(COUNTABLE), [(3,), (4, 3, 4), (3, 5)]),
     )
     for target in targets
+]
+GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
+GOLDEN_MEAN = GibbsSystem(GOLDEN, Potential.constant(0.0, GOLDEN, depth=2))
+DEPTH_THREE = GibbsSystem(GOLDEN, Potential(3, {
+    w: float(v) for w, v in zip(GOLDEN.admissible_tuples(3), np.random.default_rng(3).normal(size=5))
+}))
+GIBBS_CASES = [
+    pytest.param(model, target, id=f"{name}-{'.'.join(map(str, target))}")
+    for name, model in (("golden-mean", GOLDEN_MEAN), ("depth-three", DEPTH_THREE))
+    for target in [(0, 1), (0, 1, 0)]
 ]
 HORIZON, TRIALS, CHUNK, R_MAX = 300, 3_000, 1_024, 12
 
@@ -66,7 +82,7 @@ def _monte_carlo(model, env, target, seed):
     )
 
 
-@pytest.mark.parametrize("model, target", CASES)
+@pytest.mark.parametrize("model, target", CASES + GIBBS_CASES)
 def test_class_draws_give_the_law_of_the_sampled_words(model, target):
     env = model.draw_environment(HORIZON + len(target), 4)
     mc = _monte_carlo(model, env, target, seed=9)
@@ -77,10 +93,45 @@ def test_class_draws_give_the_law_of_the_sampled_words(model, target):
 @pytest.mark.parametrize("model, target", [CASES[2], CASES[5], CASES[11]])
 def test_slab_size_does_not_change_the_law(monkeypatch, model, target):
     env = model.draw_environment(HORIZON + len(target), 6)
-    law = _monte_carlo(model, env, target, seed=2)
+    law = _monte_carlo(model, env, target, seed=2)  # slabs of _MC_SLAB_FLOATS uniforms
     # one row of uniforms, and one position of weights, per slab
     monkeypatch.setattr(returns, "_SLAB_CELLS", 1)
     assert _monte_carlo(model, env, target, seed=2) == law
+    monkeypatch.setattr(returns, "_MC_SLAB_FLOATS", 1)
+    assert _monte_carlo(model, env, target, seed=2) == law
+    # 2**20 uniforms: every row of a chunk in one slab
+    monkeypatch.setattr(returns, "_MC_SLAB_FLOATS", 1 << 20)
+    assert _monte_carlo(model, env, target, seed=2) == law
+
+
+@pytest.mark.parametrize(
+    "model, target, period",
+    [
+        pytest.param(TWO, (0, 0), 1, id="two-element"),
+        pytest.param(COUNTABLE, (3, 3), 1, id="countable"),
+        pytest.param(MarginalModel(COUNTABLE), (3, 4, 3), 2, id="marginal-countable"),
+        pytest.param(GOLDEN_MEAN, (0, 1, 0), 2, id="golden-mean"),
+    ],
+)
+def test_theta_cluster_estimate_reads_the_window_matches(model, target, period):
+    trials, seed = 5_000, 11  # three chunks of the estimator's 2,048 rows
+    length = HORIZON + len(target)
+    env = model.draw_environment(length, 8)
+    est = theta_cluster_estimate(model, env, target, period, HORIZON, trials, seed)
+    at_period = returns_total = 0
+    for words in _sampled_words(model, env, length, trials, seed, chunk=2048):
+        match = np.stack(list(_window_matches(words, target, HORIZON)), axis=1)
+        returns_total += int(match.sum())
+        at_period += int((match[:, period:] & match[:, :-period]).sum())
+    assert at_period > 0
+    assert est == at_period / returns_total
+
+
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_monte_carlo_refuses_a_chunk_below_one(chunk):
+    env = TWO.draw_environment(20, 0)
+    with pytest.raises(ValueError, match=f"chunk must be >= 1, got {chunk}"):
+        monte_carlo_count_distribution(TWO, env, (0,), 10, 10, seed=0, chunk=chunk)
 
 
 @pytest.mark.parametrize("model, target", CASES)
