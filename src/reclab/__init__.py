@@ -11,7 +11,6 @@ enumeration, Monte Carlo).
 
 from .experiments import (
     ExperimentConfig,
-    mean_convergence_check,
     overlap_count_check,
     run_annealed,
     run_quenched,
@@ -37,19 +36,17 @@ from .models import (
     check_psi_mixing,
 )
 from .polya_aeppli import (
-    Pmf,
+    CountDistribution,
     PolyaAeppliParams,
     pa_binomial_moment,
     pa_mean_variance,
     pa_pgf,
     pa_pmf,
     pa_pmf_table,
-    pa_sample,
     pa_sample_many,
 )
 from .returns import (
     BudgetError,
-    CountDistribution,
     PatternClass,
     ReturnPattern,
     binomial_moment_enumeration,

@@ -20,11 +20,9 @@ import json
 import math
 import operator
 import os
-import statistics
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,25 +45,6 @@ __all__ = ["main", "ConfigError", "load_config"]
 
 class ConfigError(ValueError):
     """A malformed or unknown entry in an experiment config."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    config_digest: str
-    code_version: str
-    master_seed: int
-    created_utc: str
-    outputs: tuple[dict, ...]
-
-    def write(self, path: Path) -> None:
-        payload = {
-            "config_digest": self.config_digest,
-            "code_version": self.code_version,
-            "master_seed": self.master_seed,
-            "created_utc": self.created_utc,
-            "outputs": list(self.outputs),
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -241,12 +220,18 @@ def _cells_of(row) -> list[str]:
                       row.distribution.tail_mass, row.distribution.bias_bound)
 
 
+def _median(values) -> float:
+    """The middle value, or the mean of the middle two (``statistics.median``
+    without its imports; ``np.median`` imports ``numpy.ma`` on first use)."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def cmd_converge(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=int(args.seed))
-    if args.budget_states is not None:
-        config = dataclasses.replace(config, budget_cells=int(args.budget_states))
     out = _out_dir(args)
     quenched = run_quenched(config)
 
@@ -262,7 +247,7 @@ def cmd_converge(args) -> int:
         for engine in config.engines:
             rows = groups[(n, engine)]
             summary.append(_row_cells(
-                n, engine, statistics.median(r.tv for r in rows),
+                n, engine, _median(r.tv for r in rows),
                 max(r.mean_abs_err for r in rows), rows[0].theta, rows[0].horizon,
                 max(r.distribution.tail_mass for r in rows),
                 max(r.distribution.bias_bound for r in rows),
@@ -274,16 +259,14 @@ def cmd_converge(args) -> int:
             _write_csv(out / "annealed.csv", _ROW_HEADER, (_cells_of(row) for row in annealed))
         )
 
-    manifest = RunManifest(
-        config_digest=hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
-        code_version=__version__,
-        master_seed=config.master_seed,
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        outputs=tuple(
-            {"path": p.name, "sha256": _sha256(p)} for p in outputs
-        ),
-    )
-    manifest.write(out / "manifest.json")
+    manifest = {
+        "config_digest": _sha256(Path(args.config)),
+        "code_version": __version__,
+        "master_seed": config.master_seed,
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in outputs],
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for p in outputs:
         print(f"wrote {p}")
     print(f"wrote {out / 'manifest.json'}")
@@ -362,7 +345,7 @@ def _sampler_tv() -> float:
 
 def _two_element_theta() -> float:
     model = TwoElementModel(0.3, 0.7, 0.5)
-    theta = model.theta_closed_form(PeriodicPoint(Word((0,))))
+    theta = model.theta(PeriodicPoint(Word((0,))))
     return _worst((abs(model.marginal_symbol_weight(0) - 0.5), abs(theta - 0.5)))
 
 
@@ -521,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--config", required=True)
     p_conv.add_argument("--out", default=".")
     p_conv.add_argument("--seed", type=int, default=None)
-    p_conv.add_argument("--budget-states", type=int, default=None)
     p_conv.set_defaults(func=cmd_converge)
 
     p_self = sub.add_parser("selfcheck",

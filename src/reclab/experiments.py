@@ -31,12 +31,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .polya_aeppli import Pmf, PolyaAeppliParams, pa_pmf_table
+from .polya_aeppli import CountDistribution, PolyaAeppliParams, pa_pmf_table
 from .returns import (
     DEFAULT_BUDGET_CELLS,
     DEFAULT_BUDGET_WORDS,
     BudgetError,
-    CountDistribution,
     _checked_sampling,
     _sampled_classes,
     _window_mask,
@@ -53,10 +52,8 @@ __all__ = [
     "ExperimentConfig",
     "QuenchedRow",
     "QuenchedResult",
-    "AnnealedRow",
     "run_quenched",
     "run_annealed",
-    "mean_convergence_check",
     "overlap_count_check",
     "tv_distance",
     "theta_cluster_estimate",
@@ -116,6 +113,9 @@ class ExperimentConfig:
         object.__setattr__(self, "master_seed", _seed(self.master_seed, "master_seed"))
         object.__setattr__(self, "n_list", tuple(_integral(n, "n_list") for n in self.n_list))
         object.__setattr__(self, "engines", tuple(self.engines))
+        for engine in self.engines:
+            if not isinstance(engine, str):
+                raise ValueError(f"engines must be engine names, got {engine!r}")
         object.__setattr__(self, "t", _positive_real(self.t, "t"))
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
@@ -135,6 +135,8 @@ class ExperimentConfig:
             raise ValueError("at least one engine must be enabled")
         if "monte-carlo" in self.engines and self.trials < 1:
             raise ValueError("monte-carlo engine needs trials >= 1")
+        # refuses a point the model cannot carry, before any horizon reads it
+        self.model.theta(self.point)
 
     def horizon(self, n: int) -> int:
         mass = self.model.marginal_cylinder_mass(self.point.prefix(n))
@@ -153,12 +155,9 @@ class QuenchedRow:
     horizon: int
     theta: float
     distribution: CountDistribution
-    theoretical: Pmf
+    theoretical: CountDistribution
     tv: float
     mean_abs_err: float
-
-
-AnnealedRow = QuenchedRow
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +187,7 @@ def tv_distance(a, b) -> float:
 
 
 def _compare(config: ExperimentConfig, n: int, engine: str, horizon: int, theta: float,
-             dist: CountDistribution, theo: Pmf) -> QuenchedRow:
+             dist: CountDistribution, theo: CountDistribution) -> QuenchedRow:
     """The row comparing ``dist`` with the limit law ``theo``."""
     return QuenchedRow(
         n=n,
@@ -256,7 +255,7 @@ def run_quenched(config: ExperimentConfig) -> list[QuenchedResult]:
     envs = _environments(config, config.window_length())
     theta = model.theta(config.point)
     params = PolyaAeppliParams(t=(1.0 - theta) * config.t, p=theta)
-    tables: dict[int, Pmf] = {}
+    tables: dict[int, CountDistribution] = {}
     rows: list[list[QuenchedRow]] = [[] for _ in envs]
     for n in config.n_list:
         target = config.point.prefix(n)
@@ -280,7 +279,7 @@ def run_quenched(config: ExperimentConfig) -> list[QuenchedResult]:
 
 def run_annealed(
     config: ExperimentConfig, quenched: list[QuenchedResult] | None = None
-) -> list[AnnealedRow]:
+) -> list[QuenchedRow]:
     """Environment-averaged laws with the same comparison columns.
 
     The rows of one (n, engine) must share one ``r_max``, as those of
@@ -318,24 +317,6 @@ def run_annealed(
 
 
 @dataclass(frozen=True)
-class MeanRow:
-    n: int
-    env_index: int
-    expected_count: float
-    abs_err: float
-
-
-def mean_convergence_check(config: ExperimentConfig) -> list[MeanRow]:
-    """Exact expected return counts per environment and n, against t: the
-    u = 0 case of ``overlap_count_check``."""
-    return [
-        MeanRow(n=row.n, env_index=row.env_index, expected_count=row.expected_count,
-                abs_err=abs(row.expected_count - config.t))
-        for row in overlap_count_check(config, (0,))
-    ]
-
-
-@dataclass(frozen=True)
 class OverlapRow:
     n: int
     u: int
@@ -346,8 +327,8 @@ class OverlapRow:
 
 def overlap_count_check(config: ExperimentConfig, u_list: Sequence[int]) -> list[OverlapRow]:
     """Expected counts of hits to the deepened cylinder A_{n+mu} over the
-    horizon of A_n, against the limit theta^u * t.  u = 0 reproduces
-    ``mean_convergence_check``."""
+    horizon of A_n, against the limit theta^u * t.  u = 0 is the mean law:
+    the expected return count against t."""
     if not u_list or min(u_list) < 0:
         raise ValueError(f"u_list must be nonempty and nonnegative, got {tuple(u_list)}")
     m = config.point.period

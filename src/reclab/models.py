@@ -177,12 +177,6 @@ class Environment:
             )
         return self.window[start : start + count]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("index,coordinate\n")
-            for i, c in enumerate(self.window):
-                fh.write(f"{i},{format(float(c), '.17g')}\n")
-
 
 @dataclass(frozen=True)
 class MixingProfile:
@@ -260,7 +254,8 @@ class _ProductModelBase:
             out *= self.marginal_symbol_weight(s)
         return out
 
-    def theta_closed_form(self, x: PeriodicPoint) -> float:
+    def theta(self, x: PeriodicPoint) -> float:
+        """Closed form: the product of the marginal weights over one period."""
         out = 1.0
         for s in self.validate_target(x.generator):
             pbar = self.marginal_symbol_weight(s)
@@ -270,10 +265,6 @@ class _ProductModelBase:
                 )
             out *= pbar
         return out
-
-    # alias used by the experiment layer, uniform across model kinds
-    def theta(self, x: PeriodicPoint) -> float:
-        return self.theta_closed_form(x)
 
     def theta_report(self, x: PeriodicPoint, n_list: Sequence[int]) -> list[tuple[str, float]]:
         """The named lines of ``reclab theta``: theta and the largest deviation

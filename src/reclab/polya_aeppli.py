@@ -32,13 +32,12 @@ import numpy as np
 
 __all__ = [
     "PolyaAeppliParams",
-    "Pmf",
+    "CountDistribution",
     "pa_pmf",
     "pa_pmf_table",
     "pa_binomial_moment",
     "pa_mean_variance",
     "pa_pgf",
-    "pa_sample",
     "pa_sample_many",
 ]
 
@@ -70,11 +69,20 @@ class PolyaAeppliParams:
 
 
 @dataclass(frozen=True)
-class Pmf:
-    """A truncated pmf: masses for r = 0..r_max plus the remaining tail mass."""
+class CountDistribution:
+    """A truncated law: masses for r = 0..r_max, the tail mass beyond, and
+    the provenance ("polya-aeppli" for limit-law tables, else the engine).
+
+    ``bias_bound`` bounds the systematic bias of the engine.  It is 0.0 for
+    every engine: the exact engines carry rounding only, and Monte Carlo
+    draws every target symbol with its exact weight, so its laws carry
+    sampling error only.
+    """
 
     masses: tuple[float, ...]
     tail_mass: float
+    provenance: str
+    bias_bound: float = 0.0
 
     @property
     def r_max(self) -> int:
@@ -82,6 +90,12 @@ class Pmf:
 
     def total(self) -> float:
         return math.fsum(self.masses) + self.tail_mass
+
+    def mean(self) -> float:
+        return math.fsum(r * m for r, m in enumerate(self.masses))
+
+    def binomial_moment(self, k: int) -> float:
+        return math.fsum(math.comb(r, k) * m for r, m in enumerate(self.masses))
 
 
 def _sum_terms(t: float, p: float, order: int) -> float:
@@ -174,7 +188,7 @@ def pa_pmf_table(
     params: PolyaAeppliParams,
     r_max: int | None = None,
     tail_tol: float = 1e-12,
-) -> Pmf:
+) -> CountDistribution:
     """Tabulate the pmf up to r_max, recording the remaining mass as tail.
 
     With ``r_max=None`` the truncation point is chosen adaptively: the table
@@ -225,35 +239,25 @@ def pa_pmf_table(
     return _finish_table(masses)
 
 
-def _finish_table(masses: list[float]) -> Pmf:
+def _finish_table(masses: list[float]) -> CountDistribution:
     tail = 1.0 - math.fsum(masses)
     if tail < 0.0:
         if tail < -1e-12:
             raise AssertionError(f"pmf table overshoots 1 by {-tail}")
         tail = 0.0
-    return Pmf(masses=tuple(masses), tail_mass=tail)
-
-
-def pa_sample(params: PolyaAeppliParams, rng: np.random.Generator) -> int:
-    """Draw one variate via the compound representation.
-
-    A Poisson(t) number of clusters, each contributing an independent
-    geometric size on {1, 2, ...} with success probability 1-p.  The pgf of
-    this compound, exp(t (h(z)-1)) with h(z) = (1-p)z/(1-pz), is identical
-    to the Polya-Aeppli generating function.
-    """
-    clusters = int(rng.poisson(params.t))
-    if clusters == 0:
-        return 0
-    if params.p == 0.0:
-        return clusters
-    return int(rng.geometric(1.0 - params.p, size=clusters).sum())
+    return CountDistribution(masses=tuple(masses), tail_mass=tail, provenance="polya-aeppli")
 
 
 def pa_sample_many(
     params: PolyaAeppliParams, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorised sampler; same law as ``pa_sample`` but a different stream layout."""
+    """``size`` independent variates via the compound representation.
+
+    A Poisson(t) number of clusters per variate, each contributing an
+    independent geometric size on {1, 2, ...} with success probability 1-p.
+    The pgf of this compound, exp(t (h(z)-1)) with h(z) = (1-p)z/(1-pz), is
+    the Polya-Aeppli generating function.
+    """
     counts = rng.poisson(params.t, size=size)
     if params.p == 0.0:
         return counts.astype(np.int64)

@@ -61,6 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import _SLAB_CELLS, Environment, _cumulative_weights
+from .polya_aeppli import CountDistribution
 from .symbolic import _border_array, as_word, self_overlaps
 
 __all__ = [
@@ -254,44 +255,6 @@ def _automaton(target: tuple[int, ...], alphabet: Sequence) -> tuple[np.ndarray,
 # ---------------------------------------------------------------------------
 # distributions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountDistribution:
-    """A finite law r -> mass with explicit tail and provenance.
-
-    ``bias_bound`` bounds the systematic bias of the engine.  It is 0.0 for
-    every engine: the exact engines carry rounding only, and Monte Carlo
-    draws every target symbol with its exact weight, so its laws carry
-    sampling error only.
-    """
-
-    masses: tuple[float, ...]
-    tail_mass: float
-    provenance: str
-    bias_bound: float = 0.0
-
-    @property
-    def r_max(self) -> int:
-        return len(self.masses) - 1
-
-    def total(self) -> float:
-        return math.fsum(self.masses) + self.tail_mass
-
-    def mean(self) -> float:
-        return math.fsum(r * m for r, m in enumerate(self.masses))
-
-    def binomial_moment(self, k: int) -> float:
-        return math.fsum(math.comb(r, k) * m for r, m in enumerate(self.masses))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("r,mass,engine,tail_mass,bias_bound\n")
-            for r, m in enumerate(self.masses):
-                fh.write(
-                    f"{r},{format(m, '.17g')},{self.provenance},"
-                    f"{format(self.tail_mass, '.17g')},{format(self.bias_bound, '.17g')}\n"
-                )
 
 
 def _checked_target(model, target, horizon: int, r_max: int = 0) -> tuple[int, ...]:

@@ -46,7 +46,8 @@ class Word:
         if len(self.symbols) == 0:
             raise ValueError("words must be nonempty")
         for s in self.symbols:
-            if not isinstance(s, (int, np.integer)) or (s < 0 and s != SENTINEL_SYMBOL):
+            if (isinstance(s, bool) or not isinstance(s, (int, np.integer))
+                    or (s < 0 and s != SENTINEL_SYMBOL)):
                 raise ValueError(f"symbols must be nonnegative integers, got {s!r}")
         object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
 
@@ -186,13 +187,14 @@ class TransitionMatrix:
     """A 0/1 transition matrix over a finite alphabet {0..size-1}."""
 
     def __init__(self, entries) -> None:
-        mat = np.asarray(entries, dtype=np.int8)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"transition matrix must be square, got shape {mat.shape}")
-        if not np.isin(mat, (0, 1)).all():
+        raw = np.asarray(entries)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+            raise ValueError(f"transition matrix must be square, got shape {raw.shape}")
+        # checked before the cast, which would wrap or truncate other values
+        if not np.isin(raw, (0, 1)).all():
             raise ValueError("transition matrix entries must be 0 or 1")
-        self.matrix = mat
-        self.size = mat.shape[0]
+        self.matrix = raw.astype(np.int8)
+        self.size = raw.shape[0]
 
     @classmethod
     def full(cls, size: int) -> "TransitionMatrix":
@@ -234,11 +236,6 @@ class TransitionMatrix:
                     if self.matrix[p[-1], b]
                 ]
         return prefixes
-
-    def admissible_words(self, length: int) -> list[Word]:
-        if length < 1:
-            raise ValueError("admissible_words needs length >= 1")
-        return [Word(p) for p in self.admissible_tuples(length)]
 
     def orbit_is_admissible(self, x: PeriodicPoint) -> bool:
         """Admissibility of the full periodic orbit, wrap-around included."""

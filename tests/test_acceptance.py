@@ -178,7 +178,7 @@ def test_criterion_06_quenched_convergence(canonical_config):
 
 def test_criterion_07_quenched_convergence_period_two():
     with _Timer("acceptance-07 quenched convergence, period-2 point", 600.0):
-        assert CANONICAL_MODEL.theta_closed_form(POINT_2) == pytest.approx(0.25)
+        assert CANONICAL_MODEL.theta(POINT_2) == pytest.approx(0.25)
         config = rl.ExperimentConfig(
             model=CANONICAL_MODEL,
             point=POINT_2,
@@ -197,9 +197,10 @@ def test_criterion_07_quenched_convergence_period_two():
 def test_criterion_08_mean_and_overlap_laws(canonical_config):
     with _Timer("acceptance-08 mean law and overlap counts", 120.0):
         config = canonical_config
-        rows = rl.mean_convergence_check(config)
+        rows = rl.overlap_count_check(config, (0,))
         worst = {
-            n: max(r.abs_err for r in rows if r.n == n) for n in config.n_list
+            n: max(abs(r.expected_count - config.t) for r in rows if r.n == n)
+            for n in config.n_list
         }
         assert worst[14] < worst[4]
         orows = rl.overlap_count_check(config, (0, 1, 2))

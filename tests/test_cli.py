@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,7 @@ def test_config_sections_that_are_not_objects_are_fatal(tmp_path, capsys, sectio
         ("model.potential.values", lambda doc: {**doc, "model": {
             "kind": "gibbs", "transitions": [[1, 1], [1, 0]],
             "potential": {"depth": 2, "values": 5}}}),
+        ("engines", lambda doc: {**doc, "engines": [["exact-dp"]]}),
     ],
 )
 def test_config_fields_of_the_wrong_type_are_fatal(tmp_path, capsys, key, replace):
@@ -223,6 +225,40 @@ def test_config_fields_of_the_wrong_type_are_fatal(tmp_path, capsys, key, replac
         load_config(config)
     assert main(["converge", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
     assert f"{key} must be" in capsys.readouterr().err
+
+
+GOLDEN_MEAN_MODEL = {"kind": "gibbs", "transitions": [[1, 1], [1, 0]],
+                     "potential": {"depth": 2, "constant": 0.0}}
+
+
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        (lambda doc: {**doc, "model": {**GOLDEN_MEAN_MODEL, "transitions": [[257, 1], [1, 0]]}},
+         "transition matrix entries must be 0 or 1"),
+        (lambda doc: {**doc, "model": {**GOLDEN_MEAN_MODEL, "transitions": [[0.5, 1], [1, 1]]}},
+         "transition matrix entries must be 0 or 1"),
+        (lambda doc: {**doc, "point": {"generator": [True]}},
+         "symbols must be nonnegative integers, got True"),
+        (lambda doc: {**doc, "point": {"generator": [5]}},
+         "two-element model has alphabet {0, 1}, got symbol 5"),
+        (lambda doc: {**doc, "model": {"kind": "countable", "epsilon": 0.5},
+                      "point": {"generator": [2]}},
+         "countable model symbols start at 3"),
+        (lambda doc: {**doc, "model": GOLDEN_MEAN_MODEL, "point": {"generator": "1"}},
+         "periodic orbit '1' is not admissible"),
+    ],
+    ids=["transitions-257", "transitions-half", "generator-bool", "two-element-symbol-5",
+         "countable-symbol-2", "golden-mean-orbit-1"],
+)
+def test_config_values_the_model_cannot_carry_are_fatal(tmp_path, capsys, replace, message):
+    config = _write_config(tmp_path, replace(CANONICAL_CONFIG))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(config)
+    out = tmp_path / "run"
+    assert main(["converge", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "quenched.csv").exists()
 
 
 def test_converge_refuses_a_window_too_long_for_a_float(tmp_path, capsys):

@@ -11,14 +11,12 @@ from reclab import (
     GibbsSystem,
     MarginalModel,
     PeriodicPoint,
-    Pmf,
     PolyaAeppliParams,
     Potential,
     TransitionMatrix,
     TwoElementModel,
     Word,
     exact_count_distribution,
-    mean_convergence_check,
     observation_time,
     overlap_count_check,
     pa_mean_variance,
@@ -88,6 +86,15 @@ def test_config_rejects_non_integers_from_library_callers(canonical_model, field
         ExperimentConfig(**args)
 
 
+def test_config_refuses_a_point_the_model_cannot_carry(canonical_model):
+    with pytest.raises(ValueError, match="alphabet \\{0, 1\\}, got symbol 5"):
+        ExperimentConfig(canonical_model, PeriodicPoint(Word((5,))), (2,), 1.0)
+    golden = TransitionMatrix([[1, 1], [1, 0]])
+    system = GibbsSystem(golden, Potential.constant(0.0, golden, depth=2))
+    with pytest.raises(ValueError, match="periodic orbit '1' is not admissible"):
+        ExperimentConfig(system, PeriodicPoint(Word((1,))), (2,), 1.0)
+
+
 def test_config_takes_numpy_integers_as_ints(canonical_model):
     config = ExperimentConfig(
         canonical_model, PeriodicPoint(Word((0,))), np.array([4, 6]), 1.0,
@@ -98,15 +105,18 @@ def test_config_takes_numpy_integers_as_ints(canonical_model):
 
 
 def test_tv_distance_examples():
+    def limit(masses):
+        return CountDistribution(masses=masses, tail_mass=0.0, provenance="polya-aeppli")
+
     a = CountDistribution(masses=(0.25, 0.5, 0.25), tail_mass=0.0, provenance="exact-dp")
-    assert tv_distance(a, Pmf(masses=(0.25, 0.5, 0.25), tail_mass=0.0)) == 0.0
+    assert tv_distance(a, limit((0.25, 0.5, 0.25))) == 0.0
     point0 = CountDistribution(masses=(1.0, 0.0), tail_mass=0.0, provenance="exact-dp")
-    assert tv_distance(point0, Pmf(masses=(0.0, 1.0), tail_mass=0.0)) == pytest.approx(1.0)
-    b = Pmf(masses=(0.5, 0.5, 0.0), tail_mass=0.0)
+    assert tv_distance(point0, limit((0.0, 1.0))) == pytest.approx(1.0)
+    b = limit((0.5, 0.5, 0.0))
     assert tv_distance(a, b) == pytest.approx(0.25)
     # tails fold into a shared bucket
     c = CountDistribution(masses=(0.5, 0.2), tail_mass=0.3, provenance="exact-dp")
-    d = Pmf(masses=(0.5, 0.2, 0.2, 0.1), tail_mass=0.0)
+    d = limit((0.5, 0.2, 0.2, 0.1))
     assert tv_distance(c, d) == pytest.approx(0.0)
 
 
@@ -197,9 +207,9 @@ def test_mean_convergence_trend(canonical_model):
         canonical_model, PeriodicPoint(Word((0,))), (4, 12), 1.0,
         environments=30, master_seed=20260808, engines=("exact-dp",),
     )
-    rows = mean_convergence_check(config)
-    spread4 = max(r.abs_err for r in rows if r.n == 4)
-    spread12 = max(r.abs_err for r in rows if r.n == 12)
+    rows = overlap_count_check(config, (0,))
+    spread4 = max(abs(r.expected_count - config.t) for r in rows if r.n == 4)
+    spread12 = max(abs(r.expected_count - config.t) for r in rows if r.n == 12)
     assert spread12 < spread4
 
 
@@ -209,8 +219,8 @@ def test_mean_convergence_dyadic_exactness():
         model, PeriodicPoint(Word((0,))), (4, 8), 1.0,
         environments=2, master_seed=0, engines=("exact-dp",),
     )
-    for row in mean_convergence_check(config):
-        assert row.expected_count == pytest.approx(1.0, abs=1e-12)
+    for row in overlap_count_check(config, (0,)):
+        assert abs(row.expected_count - config.t) <= 1e-12
 
 
 def test_mean_convergence_floor_identity():
@@ -221,7 +231,7 @@ def test_mean_convergence_floor_identity():
         model, point, (4, 6), 1.0, environments=2, master_seed=0,
         engines=("exact-dp",),
     )
-    for row in mean_convergence_check(config):
+    for row in overlap_count_check(config, (0,)):
         mass = model.marginal_cylinder_mass(point.prefix(row.n))
         horizon = observation_time(1.0, mass)
         assert row.expected_count == pytest.approx(horizon * mass, abs=1e-12)
@@ -263,8 +273,8 @@ def test_overlap_count_check(canonical_model):
         environments=10, master_seed=20260808, engines=("exact-dp",),
     )
     rows = overlap_count_check(config, (0, 1, 2))
-    mean_rows = mean_convergence_check(config)
-    # u = 0 reproduces the mean table
+    mean_rows = overlap_count_check(config, (0,))
+    # u = 0 rows (the mean law) do not depend on the deeper u's window
     for r in rows:
         if r.u == 0:
             match = [
@@ -272,7 +282,7 @@ def test_overlap_count_check(canonical_model):
             ][0]
             assert r.expected_count == pytest.approx(match.expected_count, abs=1e-12)
             assert r.limit == pytest.approx(1.0)
-    theta = canonical_model.theta_closed_form(PeriodicPoint(Word((0,))))
+    theta = canonical_model.theta(PeriodicPoint(Word((0,))))
     for u in (1, 2):
         dev4 = statistics.mean(
             abs(r.expected_count - r.limit) for r in rows if r.n == 4 and r.u == u

@@ -88,27 +88,27 @@ def test_marginal_weights(two_elt):
 
 
 def test_theta_closed_form(two_elt):
-    assert two_elt.theta_closed_form(PeriodicPoint(Word((0,)))) == pytest.approx(0.5)
-    assert two_elt.theta_closed_form(PeriodicPoint(Word((0, 1)))) == pytest.approx(0.25)
+    assert two_elt.theta(PeriodicPoint(Word((0,)))) == pytest.approx(0.5)
+    assert two_elt.theta(PeriodicPoint(Word((0, 1)))) == pytest.approx(0.25)
     sym = TwoElementModel(0.5, 0.5, 0.3)
-    assert sym.theta_closed_form(PeriodicPoint(Word((0, 1, 0, 0, 1)))) == pytest.approx(
+    assert sym.theta(PeriodicPoint(Word((0, 1, 0, 0, 1)))) == pytest.approx(
         0.5**5
     )
     flat = TwoElementModel(0.4, 0.4, 0.9)
-    assert flat.theta_closed_form(PeriodicPoint(Word((0,)))) == pytest.approx(0.4)
+    assert flat.theta(PeriodicPoint(Word((0,)))) == pytest.approx(0.4)
 
 
 def test_theta_depends_only_on_cyclic_word():
     model = TwoElementModel(0.3, 0.6, 0.25)
-    a = model.theta_closed_form(PeriodicPoint(Word((0, 0, 1))))
-    b = model.theta_closed_form(PeriodicPoint(Word((0, 1, 0))))
-    c = model.theta_closed_form(PeriodicPoint(Word((1, 0, 0))))
+    a = model.theta(PeriodicPoint(Word((0, 0, 1))))
+    b = model.theta(PeriodicPoint(Word((0, 1, 0))))
+    c = model.theta(PeriodicPoint(Word((1, 0, 0))))
     assert a == pytest.approx(b) and b == pytest.approx(c)
 
 
 def test_theta_ratio_sequence_is_constant(two_elt):
     x = PeriodicPoint(Word((0, 1)))
-    theta = two_elt.theta_closed_form(x)
+    theta = two_elt.theta(x)
     for ratio in two_elt.theta_ratio_sequence(x, [2, 3, 5, 9, 14]):
         assert ratio == pytest.approx(theta, abs=1e-13)
     with pytest.raises(ValueError):
@@ -235,14 +235,14 @@ def test_countable_marginal_sums_close_to_one(countable):
 
 def test_countable_theta_and_ratios(countable):
     x = PeriodicPoint(Word((3, 4)))
-    theta = countable.theta_closed_form(x)
+    theta = countable.theta(x)
     assert theta == pytest.approx(
         countable.marginal_symbol_weight(3) * countable.marginal_symbol_weight(4)
     )
     for ratio in countable.theta_ratio_sequence(x, [4, 6, 10]):
         assert ratio == pytest.approx(theta, abs=1e-9)
     with pytest.raises(ValueError):
-        countable.theta_closed_form(PeriodicPoint(Word((2,))))
+        countable.theta(PeriodicPoint(Word((2,))))
 
 
 def test_countable_environment_support(countable):
@@ -264,15 +264,6 @@ def test_countable_sampling_and_sentinel(countable):
     assert np.all(np.abs(freq3 - w3) <= 4 * np.sqrt(w3 * (1 - w3) / 5_000))
 
 
-def test_environment_csv_export(tmp_path, two_elt):
-    env = two_elt.draw_environment(4, 21)
-    path = tmp_path / "env.csv"
-    env.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,coordinate"
-    assert len(lines) == 5
-
-
 # -- marginal adapter ---------------------------------------------------------
 
 
@@ -282,7 +273,7 @@ def test_marginal_model_matches_marginal(two_elt):
     assert marg.fiber_cylinder_mass(env, "01", 3) == pytest.approx(
         two_elt.marginal_cylinder_mass("01")
     )
-    assert marg.theta_closed_form(PeriodicPoint(Word((0,)))) == pytest.approx(0.5)
+    assert marg.theta(PeriodicPoint(Word((0,)))) == pytest.approx(0.5)
 
 
 def test_marginal_model_sampling(two_elt):

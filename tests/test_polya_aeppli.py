@@ -12,7 +12,6 @@ from reclab import (
     pa_pgf,
     pa_pmf,
     pa_pmf_table,
-    pa_sample,
     pa_sample_many,
 )
 
@@ -167,18 +166,6 @@ def test_sampler_agrees_with_pmf():
     emp = np.bincount(draws, minlength=len(table.masses)) / len(draws)
     tv = 0.5 * (float(np.abs(emp - np.array(table.masses)).sum()) + table.tail_mass)
     assert tv < 0.01
-
-
-def test_single_draw_sampler():
-    params = PolyaAeppliParams(t=2.0, p=0.5)
-    rng = np.random.default_rng(100)
-    draws = [pa_sample(params, rng) for _ in range(20_000)]
-    assert np.mean(draws) == pytest.approx(4.0, abs=4 * math.sqrt(12.0 / 20_000))
-    rng_a = np.random.default_rng(7)
-    rng_b = np.random.default_rng(7)
-    assert [pa_sample(params, rng_a) for _ in range(50)] == [
-        pa_sample(params, rng_b) for _ in range(50)
-    ]
 
 
 @settings(max_examples=150, deadline=None)

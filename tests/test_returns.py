@@ -478,15 +478,3 @@ def test_moment_identity_where_several_weights_meet_in_one_operator_entry(target
     assert dp.mean() == pytest.approx(
         expected_return_count(model, env, target, horizon), rel=1e-12
     )
-
-
-def test_count_distribution_csv(tmp_path):
-    model = TwoElementModel(0.5, 0.5, 0.5)
-    env = model.draw_environment(4, 0)
-    dist = exact_count_distribution(model, env, "0", 2, r_max=2)
-    path = tmp_path / "dist.csv"
-    dist.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r,mass,engine,tail_mass,bias_bound"
-    assert lines[1].startswith("0,0.25")
-    assert "exact-dp" in lines[1]

@@ -127,10 +127,21 @@ def test_transition_matrix_basics():
     assert not TransitionMatrix([[0, 1], [1, 0]]).is_topologically_mixing()
     assert golden.word_is_admissible("0101")
     assert not golden.word_is_admissible("011")
-    assert len(golden.admissible_words(3)) == 5
+    assert len(golden.admissible_tuples(3)) == 5
     assert golden.admissible_tuples(0) == [()]
     with pytest.raises(ValueError):
         TransitionMatrix([[1, 2], [0, 1]])
+
+
+@pytest.mark.parametrize("entries", [[[0.5, 1], [1, 1]], [[1.5, 1], [1, 0]], [[257, 1], [1, 0]]])
+def test_transition_entries_are_checked_before_the_cast(entries):
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        TransitionMatrix(entries)
+
+
+def test_words_refuse_bool_symbols():
+    with pytest.raises(ValueError, match="got True"):
+        Word((True, False))
 
 
 def test_orbit_admissibility_wraps_around():
