@@ -9,6 +9,10 @@ digits so exact-engine runs round-trip byte-identically.
 
 The output directory comes from --out, overridden by the RECLAB_OUT
 environment variable when set.
+
+A command loads only what it runs: ``reclab.gibbs`` is imported for a
+``gibbs`` model, and ``reclab.checks`` (the self-check suite) for
+``selfcheck``.
 """
 
 from __future__ import annotations
@@ -17,28 +21,20 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
-import operator
 import os
 import sys
 import time
-import traceback
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from . import models as models_mod
 from . import polya_aeppli as pa_mod
-from . import returns as returns_mod
 from .experiments import (
-    ExperimentConfig, _group_rows, _integral, _seed, run_annealed, run_quenched,
+    ExperimentConfig, _group_rows, _integral, _nonnegative, run_annealed, run_quenched,
 )
-from .gibbs import GibbsSystem, Potential, bernoulli_potential
 from .models import CountableModel, TwoElementModel
 from .polya_aeppli import PolyaAeppliParams
 from .returns import BudgetError
-from .symbolic import PeriodicPoint, TransitionMatrix, Word, as_word, self_overlaps
+from .symbolic import PeriodicPoint, TransitionMatrix, as_word
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -88,6 +84,8 @@ def _build_model(section: dict):
             _integral(section.get("alphabet_cutoff", 16384), "model.alphabet_cutoff"),
         )
     if kind == "gibbs":
+        from .gibbs import GibbsSystem  # product configs never load the Gibbs numerics
+
         _require_keys(section, {"kind", "transitions", "potential"},
                       {"kind", "transitions", "potential"}, "model")
         transitions = TransitionMatrix(section["transitions"])
@@ -95,7 +93,10 @@ def _build_model(section: dict):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _build_potential(section: dict, transitions: TransitionMatrix) -> Potential:
+def _build_potential(section: dict, transitions: TransitionMatrix):
+    """The ``model.potential`` section of a ``gibbs`` model."""
+    from .gibbs import Potential, bernoulli_potential
+
     where = "model.potential"
     _require_keys(section, {"depth", "values", "constant", "bernoulli"}, set(), where)
     depth = _integral(section.get("depth", 1), f"{where}.depth")
@@ -150,9 +151,9 @@ def load_config(path) -> ExperimentConfig:
             t=_number(sched["t"], "schedule.t"),
             environments=_integral(seeds["environments"], "seeds.environments"),
             trials=_integral(seeds.get("trials", 0), "seeds.trials"),
-            master_seed=_seed(seeds["master_seed"], "seeds.master_seed"),
+            master_seed=_nonnegative(seeds["master_seed"], "seeds.master_seed"),
             engines=tuple(engines),
-            r_max=_integral(sched.get("r_max", 64), "schedule.r_max"),
+            r_max=_nonnegative(sched.get("r_max", 64), "schedule.r_max"),
             **kwargs,
         )
     except ValueError as exc:
@@ -274,9 +275,13 @@ def cmd_converge(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    import traceback
+
+    from . import checks
+
     del args
     failures = 0
-    for name, compare, bound, measure in _SELFCHECKS:
+    for name, compare, bound, measure in checks._SELFCHECKS:
         try:
             worst = measure()
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
@@ -292,188 +297,6 @@ def cmd_selfcheck(args) -> int:
         return 1
     print("all self-checks passed")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# self-check suite (small-scale module invariants): each measure returns the
-# worst deviation it finds, and its row passes when compare(worst, bound)
-# ---------------------------------------------------------------------------
-
-
-def _worst(deviations) -> float:
-    """The largest deviation; NaN if any is NaN, so a NaN fails its row."""
-    return float(np.max(list(deviations)))
-
-
-def _pmf_normalization() -> float:
-    return _worst(abs(pa_mod.pa_pmf_table(PolyaAeppliParams(t=t, p=p)).total() - 1.0)
-                  for t in (1.0, 5.0) for p in (0.0, 0.5, 0.9))
-
-
-def _poisson_relative_error() -> float:
-    devs = []
-    for t in (0.5, 2.0):
-        params = PolyaAeppliParams(t=t, p=0.0)
-        for r in range(31):
-            want = math.exp(-t) * t**r / math.factorial(r)
-            devs.append(abs(pa_mod.pa_pmf(params, r) - want) / want)
-    return _worst(devs)
-
-
-def _moment_consistency() -> float:
-    params = PolyaAeppliParams(t=2.0, p=0.5)
-    # deep truncation: the C(r,k)-weighted tail must be negligible up to k=5
-    masses = pa_mod.pa_pmf_table(params, r_max=400).masses
-    return _worst(abs(sum(math.comb(r, k) * m for r, m in enumerate(masses))
-                      - pa_mod.pa_binomial_moment(params, k)) for k in range(6))
-
-
-def _pgf_consistency() -> float:
-    params = PolyaAeppliParams(t=1.5, p=0.5)
-    masses = pa_mod.pa_pmf_table(params).masses
-    return _worst(abs(sum(z**r * m for r, m in enumerate(masses)) - pa_mod.pa_pgf(params, z))
-                  for z in (0.0, 0.25, 0.5, 0.9))
-
-
-def _sampler_tv() -> float:
-    params = PolyaAeppliParams(t=2.0, p=0.5)
-    sample = pa_mod.pa_sample_many(params, 100_000, np.random.default_rng(7))
-    table = pa_mod.pa_pmf_table(params, r_max=int(sample.max()))
-    emp = np.bincount(sample, minlength=len(table.masses)) / len(sample)
-    return 0.5 * float(np.abs(emp - np.array(table.masses)).sum() + table.tail_mass)
-
-
-def _two_element_theta() -> float:
-    model = TwoElementModel(0.3, 0.7, 0.5)
-    theta = model.theta(PeriodicPoint(Word((0,))))
-    return _worst((abs(model.marginal_symbol_weight(0) - 0.5), abs(theta - 0.5)))
-
-
-def _two_element_ratios() -> float:
-    model = TwoElementModel(0.3, 0.7, 0.5)
-    ratios = model.theta_ratio_sequence(PeriodicPoint(Word((0,))), [2, 4, 8])
-    return _worst(abs(r - 0.5) for r in ratios)
-
-
-def _oracle_cases():
-    model = TwoElementModel(0.3, 0.7, 0.5)
-    env = model.draw_environment(20, 11)
-    for target, horizon in (("0", 8), ("01", 6), ("00", 10)):
-        dp = returns_mod.exact_count_distribution(model, env, target, horizon, r_max=horizon)
-        yield model, env, target, horizon, dp.masses
-
-
-def _dp_vs_enumeration() -> float:
-    devs = []
-    for model, env, target, horizon, dp in _oracle_cases():
-        brute = returns_mod.enumerate_count_distribution(model, env, target, horizon).masses
-        devs += (abs(dp[r] - (brute[r] if r < len(brute) else 0.0)) for r in range(horizon + 1))
-    return _worst(devs)
-
-
-def _mc_vs_dp_in_se(trials: int = 20_000) -> float:
-    """Worst |MC - DP| mass, less 1e-9 of slack, in Monte Carlo standard errors."""
-    devs = []
-    for model, env, target, horizon, dp in _oracle_cases():
-        mc = returns_mod.monte_carlo_count_distribution(
-            model, env, target, horizon, trials, seed=5, r_max=horizon
-        ).masses
-        for r in range(horizon + 1):
-            se = math.sqrt(max(dp[r] * (1 - dp[r]), 1e-12) / trials)
-            devs.append((abs(mc[r] - dp[r]) - 1e-9) / se)
-    return _worst(devs)
-
-
-def _moment_identity() -> float:
-    model = TwoElementModel(0.4, 0.6, 0.3)
-    env = model.draw_environment(24, 3)
-    masses = returns_mod.exact_count_distribution(model, env, "010", 9, r_max=9).masses
-    return _worst(abs(sum(math.comb(r, k) * m for r, m in enumerate(masses))
-                      - returns_mod.binomial_moment_enumeration(model, env, "010", 9, k))
-                  for k in range(4))
-
-
-def _partition_relative_error() -> float:
-    model = TwoElementModel(0.5, 0.5, 0.5)
-    env = model.draw_environment(50, 1)
-    rare, main = returns_mod.rare_vs_main_split(
-        model, env, "00", 40, r=2, delta=4, block_gap=1, period=1
-    )
-    total = returns_mod.binomial_moment_enumeration(model, env, "00", 40, 2)
-    return abs((rare + main) - total) / max(total, 1.0)
-
-
-def _normalizer_closed_form() -> float:
-    """Worst relative deviation of the closed-form countable normaliser from
-    its definition, the truncated series added term by term."""
-    us = (0.5, 0.75, 1.0)
-    devs = []
-    for u, closed in zip(us, models_mod._normalizers(np.array(us))):
-        terms = (1.0 / (n * math.log(n) ** (1.0 + u))
-                 for n in range(3, models_mod._NORMALIZER_TERMS + 1))
-        midpoint = math.log(models_mod._NORMALIZER_TERMS + 0.5) ** (-u) / u
-        summed = 1.0 / (math.fsum(terms) + midpoint)
-        devs.append(abs(closed - summed) / summed)
-    return _worst(devs)
-
-
-def _golden_mean() -> GibbsSystem:
-    golden = TransitionMatrix([[1, 1], [1, 0]])
-    return GibbsSystem(golden, Potential.constant(0.0, golden, depth=2))
-
-
-def _gibbs_product() -> float:
-    iid = GibbsSystem(TransitionMatrix.full(2), bernoulli_potential([0.3, 0.7]))
-    return _worst((abs(iid.cylinder_mass("01") - 0.21),
-                   abs(iid.theta(PeriodicPoint(Word((0,)))) - 0.3)))
-
-
-def _overlaps_off_period() -> float:
-    rng = np.random.default_rng(3)
-    bad = 0
-    for _ in range(50):
-        m = int(rng.integers(1, 6))
-        while True:
-            gen = tuple(int(s) for s in rng.integers(0, 3, size=m))
-            try:
-                point = PeriodicPoint(Word(gen))
-                break
-            except ValueError:
-                continue
-        n = int(rng.integers(2 * m, 12 * m + 1))
-        bad += sum(1 for ell in self_overlaps(point.prefix(n)) if ell <= n - m and ell % m)
-    return float(bad)
-
-
-def _mean_identity() -> float:
-    model = TwoElementModel(0.25, 0.7, 0.4)
-    env = model.draw_environment(40, 9)
-    masses = returns_mod.exact_count_distribution(model, env, "01", 30, r_max=30).masses
-    return abs(sum(r * m for r, m in enumerate(masses))
-               - returns_mod.expected_return_count(model, env, "01", 30))
-
-
-# (name, comparison, bound, measure)
-_SELFCHECKS = [
-    ("pmf-normalization", operator.lt, 1e-10, _pmf_normalization),
-    ("poisson-reduction-relative", operator.le, 1e-12, _poisson_relative_error),
-    ("moment-consistency", operator.lt, 1e-8, _moment_consistency),
-    ("pgf-consistency", operator.lt, 1e-10, _pgf_consistency),
-    ("sampler-agreement-tv", operator.lt, 0.02, _sampler_tv),
-    ("two-element-theta", operator.lt, 1e-15, _two_element_theta),
-    ("two-element-ratios", operator.lt, 1e-12, _two_element_ratios),
-    ("countable-normalizer-closed-form", operator.le, 4e-15, _normalizer_closed_form),
-    ("oracle-dp-vs-enumeration", operator.lt, 1e-12, _dp_vs_enumeration),
-    ("oracle-mc-vs-dp-in-se", operator.le, 4.0, _mc_vs_dp_in_se),
-    ("moment-identity", operator.lt, 1e-10, _moment_identity),
-    ("partition-identity-relative", operator.lt, 1e-11, _partition_relative_error),
-    ("gibbs-eigenvalue", operator.lt, 1e-10,
-     lambda: abs(_golden_mean().perron.lam - (1 + math.sqrt(5)) / 2)),
-    ("gibbs-forbidden-mass", operator.eq, 0.0, lambda: _golden_mean().cylinder_mass("11")),
-    ("gibbs-product", operator.lt, 1e-12, _gibbs_product),
-    ("overlap-multiples-violations", operator.eq, 0.0, _overlaps_off_period),
-    ("mean-identity", operator.lt, 1e-10, _mean_identity),
-]
 
 
 # ---------------------------------------------------------------------------

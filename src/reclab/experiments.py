@@ -19,7 +19,9 @@ A quenched run is one n-major pass: the environments are drawn once, and
 each (n, engine) runs over all of them.  Models whose fiber measure is the
 same on every environment (``environment_free``, e.g. Gibbs systems) get
 their exact laws computed once per (n, engine) and shared by all
-environments; the limit-law table is built once per r_max.
+environments; the limit-law table is built once per r_max.  The checks of
+the paper's other claims over these configs (the overlap-count law, the
+cluster estimate) live in ``reclab.checks``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,27 +37,16 @@ from .returns import (
     DEFAULT_BUDGET_CELLS,
     DEFAULT_BUDGET_WORDS,
     BudgetError,
-    _checked_sampling,
-    _sampled_classes,
-    _window_mask,
     enumerate_count_distribution,
     exact_count_distribution,
-    expected_return_count,
     monte_carlo_count_distribution,
     observation_time,
 )
 from .symbolic import PeriodicPoint
 
 __all__ = [
-    "ENGINES",
-    "ExperimentConfig",
-    "QuenchedRow",
-    "QuenchedResult",
-    "run_quenched",
-    "run_annealed",
-    "overlap_count_check",
-    "tv_distance",
-    "theta_cluster_estimate",
+    "ENGINES", "ExperimentConfig", "QuenchedRow", "QuenchedResult", "run_quenched",
+    "run_annealed", "tv_distance",
 ]
 
 ENGINES = ("exact-dp", "enumeration", "monte-carlo")
@@ -69,13 +59,13 @@ def _integral(value, field: str) -> int:
     return int(value)
 
 
-def _seed(value, field: str) -> int:
+def _nonnegative(value, field: str) -> int:
     """``value`` as a nonnegative int, or a ValueError naming ``field``: numpy
-    seeds refuse negative entropy."""
-    seed = _integral(value, field)
-    if seed < 0:
+    seeds refuse negative entropy, and a count law needs r_max >= 0."""
+    out = _integral(value, field)
+    if out < 0:
         raise ValueError(f"{field} must be a nonnegative integer, got {value!r}")
-    return seed
+    return out
 
 
 def _positive_real(value, field: str) -> float:
@@ -108,14 +98,17 @@ class ExperimentConfig:
     budget_words: int = DEFAULT_BUDGET_WORDS
 
     def __post_init__(self) -> None:
-        for name in ("environments", "trials", "r_max", "budget_cells", "budget_words"):
+        for name in ("environments", "trials", "budget_cells", "budget_words"):
             object.__setattr__(self, name, _integral(getattr(self, name), name))
-        object.__setattr__(self, "master_seed", _seed(self.master_seed, "master_seed"))
+        for name in ("master_seed", "r_max"):
+            object.__setattr__(self, name, _nonnegative(getattr(self, name), name))
         object.__setattr__(self, "n_list", tuple(_integral(n, "n_list") for n in self.n_list))
         object.__setattr__(self, "engines", tuple(self.engines))
         for engine in self.engines:
             if not isinstance(engine, str):
                 raise ValueError(f"engines must be engine names, got {engine!r}")
+        if len(set(self.engines)) < len(self.engines):
+            raise ValueError(f"engines must not repeat, got {list(self.engines)}")
         object.__setattr__(self, "t", _positive_real(self.t, "t"))
         if not self.n_list:
             raise ValueError("n_list must be nonempty")
@@ -314,65 +307,3 @@ def run_annealed(
             out.append(_compare(config, n, engine, rows[0].horizon, rows[0].theta, dist,
                                 rows[0].theoretical))
     return out
-
-
-@dataclass(frozen=True)
-class OverlapRow:
-    n: int
-    u: int
-    env_index: int
-    expected_count: float
-    limit: float
-
-
-def overlap_count_check(config: ExperimentConfig, u_list: Sequence[int]) -> list[OverlapRow]:
-    """Expected counts of hits to the deepened cylinder A_{n+mu} over the
-    horizon of A_n, against the limit theta^u * t.  u = 0 is the mean law:
-    the expected return count against t."""
-    if not u_list or min(u_list) < 0:
-        raise ValueError(f"u_list must be nonempty and nonnegative, got {tuple(u_list)}")
-    m = config.point.period
-    theta = config.model.theta(config.point)
-    window = max(
-        config.horizon(n) + n + m * max(u_list) for n in config.n_list
-    )
-    out = []
-    for i, env in enumerate(_environments(config, window)):
-        for n in config.n_list:
-            horizon = config.horizon(n)
-            for u in u_list:
-                target = config.point.prefix(n + m * u)
-                expected = expected_return_count(config.model, env, target, horizon)
-                out.append(
-                    OverlapRow(n=n, u=u, env_index=i, expected_count=expected,
-                               limit=theta**u * config.t)
-                )
-    return out
-
-
-def theta_cluster_estimate(
-    model, env, target, period: int, horizon: int, trials: int, seed
-) -> float:
-    """Empirical cluster parameter: fraction of returns at lag exactly m.
-
-    A return at lag ``period`` after its predecessor continues a cluster;
-    a cluster of size s contributes s-1 such returns out of s, so with
-    geometric cluster sizes the fraction over *all* observed returns
-    estimates theta.  (Dividing by the gap count instead is biased upward:
-    a window whose last cluster is cut off by the horizon contributes its
-    returns but no closing long gap.)  The returns are read off Monte
-    Carlo's samples, a slab of rows at a time, as class masks: drawn
-    straight from the uniforms on product fibers, read off the sampled
-    words at depth > 1.  Returns NaN without any returns.
-    """
-    tw = _checked_sampling(model, target, horizon, trials)
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    at_period = returns_total = 0
-    for hits, classes in _sampled_classes(model, env, tw, horizon, trials, seed, chunk=2048):
-        mask = _window_mask(hits, classes, horizon)
-        returns_total += int(mask.sum())
-        at_period += int((mask[:, period:] & mask[:, :-period]).sum())
-    if returns_total == 0:
-        return float("nan")
-    return at_period / returns_total

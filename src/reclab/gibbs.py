@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Environment, _seed_label
+from .models import Environment, _seed_label, ratio_convergence
 from .symbolic import PeriodicPoint, TransitionMatrix, _is_primitive, as_word
 
 __all__ = [
@@ -106,13 +106,6 @@ class PerronData:
     residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class TransferOperator:
-    matrix: np.ndarray
-    states: tuple[tuple[int, ...], ...]
-    depth: int
-
-
 def lift_potential(potential: Potential, transitions: TransitionMatrix) -> Potential:
     """Re-express a potential one level deeper (same function of x)."""
     k = potential.depth
@@ -125,10 +118,9 @@ def lift_potential(potential: Potential, transitions: TransitionMatrix) -> Poten
     )
 
 
-def build_transfer_matrix(
-    potential: Potential, transitions: TransitionMatrix
-) -> TransferOperator:
-    """Weighted transfer matrix over admissible (depth-1)-word states.
+def build_transfer_matrix(potential: Potential, transitions: TransitionMatrix) -> np.ndarray:
+    """Weighted transfer matrix over the admissible (depth-1)-word states,
+    in ``transitions.admissible_tuples`` order.
 
     A depth-1 potential reduces to the empty-word state only on a full
     shift; on a constrained shift the preimage sum depends on the first
@@ -162,7 +154,7 @@ def build_transfer_matrix(
         u = word[:-1]
         w = word[1:]
         mat[index[u], index[w]] += math.exp(value)
-    return TransferOperator(matrix=mat, states=states, depth=k)
+    return mat
 
 
 def perron_eigendata(matrix, states=None) -> PerronData:
@@ -170,14 +162,12 @@ def perron_eigendata(matrix, states=None) -> PerronData:
 
     Dense solve for sizes up to 64, two-sided power iteration beyond; the
     relative residual is driven to 1e-12 and verified to at least 1e-10.
+    ``states`` name the rows, (i,) by default; ``normalize_potential`` reads
+    them, so a ``build_transfer_matrix`` result takes its states along.
     """
-    if isinstance(matrix, TransferOperator):
-        states = matrix.states
-        mat = matrix.matrix
-    else:
-        mat = np.asarray(matrix, dtype=float)
-        if states is None:
-            states = tuple((i,) for i in range(mat.shape[0]))
+    mat = np.asarray(matrix, dtype=float)
+    if states is None:
+        states = tuple((i,) for i in range(mat.shape[0]))
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     if (mat < 0).any():
@@ -280,14 +270,13 @@ class GibbsSystem:
         if potential.depth == 1 and not transitions.is_full():
             potential = lift_potential(potential, transitions)
         self.potential = potential
-        self.operator = build_transfer_matrix(potential, transitions)
-        self.perron = perron_eigendata(self.operator)
+        self.states = tuple(transitions.admissible_tuples(potential.depth - 1))
+        self.perron = perron_eigendata(build_transfer_matrix(potential, transitions), self.states)
         self.normalized = normalize_potential(potential, transitions, self.perron)
-        self.states = self.operator.states
         self.state_index = {s: i for i, s in enumerate(self.states)}
         self.state_masses = self.perron.h * self.perron.nu
         self.state_masses = self.state_masses / self.state_masses.sum()
-        norm_matrix = build_transfer_matrix(self.normalized, transitions).matrix
+        norm_matrix = build_transfer_matrix(self.normalized, transitions)
         col_defect = float(np.max(np.abs(norm_matrix.sum(axis=0) - 1.0)))
         if col_defect > 1e-10:
             raise RuntimeError(
@@ -346,24 +335,11 @@ class GibbsSystem:
             total += self.normalized.values[window]
         return math.exp(total)
 
-    def ratio_convergence(self, x: PeriodicPoint, n_max: int) -> list[tuple[int, float, float]]:
-        """(n, mass ratio at step m, |ratio - theta|) for n = 1..n_max."""
-        if n_max < 2 * x.period:
-            raise ValueError(f"n_max must be at least 2m = {2 * x.period}")
-        theta = self.theta(x)
-        out = []
-        for n in range(1, n_max + 1):
-            a_n = self.cylinder_mass(x.prefix(n))
-            a_nm = self.cylinder_mass(x.prefix(n + x.period))
-            ratio = a_nm / a_n
-            out.append((n, ratio, abs(ratio - theta)))
-        return out
-
     def theta_report(self, x: PeriodicPoint, n_list) -> list[tuple[str, float]]:
         """The named lines of ``reclab theta``: theta, the largest deviation
         of the mass ratios from it for n from min(n_list) to max(n_list), and
         the geometric decay factor fitted to the deviations from n = 1."""
-        rows = self.ratio_convergence(x, max(n_list))
+        rows = ratio_convergence(self, x, max(n_list))
         return [
             ("theta", self.theta(x)),
             ("ratio_max_deviation", max(dev for n, _, dev in rows if n >= min(n_list))),

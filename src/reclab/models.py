@@ -35,18 +35,18 @@ Every model (``reclab.gibbs.GibbsSystem`` too) serves the engines through
 one protocol: ``validate_target``, ``alphabet`` (what ``sample_words``
 draws, complete when ``tail_mass_bound`` is 0.0), ``depth`` (1 for product
 fibers), ``environment_free``, ``dp_width`` (read before any table is
-built) and ``dp_tables`` for the exact DP and ``check_psi_mixing``'s
+built) and ``dp_tables`` for the exact DP and ``checks.check_psi_mixing``'s
 joint masses, ``symbol_weight_matrix``, ``fiber_cylinder_mass``,
 ``marginal_cylinder_mass``, ``sample_words``, ``draw_environment`` and
 ``theta_report`` (the lines of ``reclab theta``).  A product model may add
 ``marginal_symbol_weights(symbols)``, the vector form of
 ``marginal_symbol_weight``, which ``MarginalModel`` reads when present.
+``ratio_convergence`` reads the marginal mass ratios whose limit is theta.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,14 +56,8 @@ import numpy as np
 from .symbolic import SENTINEL_SYMBOL, PeriodicPoint, as_word
 
 __all__ = [
-    "Environment",
-    "TwoElementModel",
-    "CountableModel",
-    "MarginalModel",
-    "MixingProfile",
-    "MixingReport",
-    "SENTINEL_SYMBOL",
-    "check_psi_mixing",
+    "Environment", "TwoElementModel", "CountableModel", "MarginalModel", "MixingProfile",
+    "SENTINEL_SYMBOL", "ratio_convergence",
 ]
 
 # The countable-model normaliser G(u) is defined by
@@ -193,13 +187,6 @@ class MixingProfile:
     eta1: float
 
 
-@dataclass(frozen=True)
-class MixingReport:
-    max_marginal_deviation: float
-    max_fiber_deviation: float
-    pairs_checked: int
-
-
 class _ProductModelBase:
     """Shared machinery: everything downstream of per-position symbol weights."""
 
@@ -268,22 +255,10 @@ class _ProductModelBase:
 
     def theta_report(self, x: PeriodicPoint, n_list: Sequence[int]) -> list[tuple[str, float]]:
         """The named lines of ``reclab theta``: theta and the largest deviation
-        of the marginal mass ratios over ``n_list`` from it."""
-        theta = self.theta(x)
-        ratios = self.theta_ratio_sequence(x, n_list)
-        return [("theta", theta), ("ratio_max_deviation", max(abs(r - theta) for r in ratios))]
-
-    def theta_ratio_sequence(self, x: PeriodicPoint, n_list: Sequence[int]) -> list[float]:
-        """Ratios mass(A_{n+m}(x))/mass(A_n(x)) of marginal cylinder masses."""
-        if list(n_list) != sorted(set(n_list)):
-            raise ValueError("n_list must be strictly increasing")
-        m = x.period
-        out = []
-        for n in n_list:
-            a_n = self.marginal_cylinder_mass(x.prefix(n))
-            a_nm = self.marginal_cylinder_mass(x.prefix(n + m))
-            out.append(a_nm / a_n)
-        return out
+        of the marginal mass ratios at the n of ``n_list`` from it."""
+        rows = ratio_convergence(self, x, max(n_list))
+        return [("theta", self.theta(x)),
+                ("ratio_max_deviation", max(dev for n, _, dev in rows if n in n_list))]
 
     def sample_words(
         self,
@@ -565,59 +540,17 @@ class MarginalModel(_ProductModelBase):
         return self.base.mixing_profile(k_max)
 
 
-def check_psi_mixing(
-    model,
-    k_list: Sequence[int],
-    cylinder_pool: Sequence,
-    environment: Environment | None = None,
-    offset: int = 0,
-) -> MixingReport:
-    """Worst-case relative deviation between joint and product cylinder masses.
-
-    For each ordered pool pair (A, B) and gap k, compares the mass of
-    "A at offset, B at offset+|A|+k" against the product of the two
-    single-cylinder masses, for the marginal measure and (when an
-    environment is given) for the fiber measure.  Each joint mass is one
-    ``_pattern_mass`` pass, independent of the single masses.  Product
-    models should come out at zero to rounding.
-    """
-    words = [as_word(w).symbols for w in cylinder_pool]
-    if any(k < 0 for k in k_list):
-        raise ValueError("gaps must be nonnegative")
-    marginal = model if model.environment_free else MarginalModel(model)
-    worst_marginal = worst_fiber = 0.0
-    for a, b, k in itertools.product(words, words, k_list):
-        pattern = a + (None,) * k + b
-        # the marginal weights read no coordinate; the window sets the length
-        blank = Environment(window=np.zeros(len(pattern)), source_seed=0)
-        product = model.marginal_cylinder_mass(a) * model.marginal_cylinder_mass(b)
-        joint = _pattern_mass(marginal, blank, pattern)
-        worst_marginal = max(worst_marginal, _deviation(joint, product))
-        if environment is not None:
-            product = model.fiber_cylinder_mass(environment, a, offset) * (
-                model.fiber_cylinder_mass(environment, b, offset + len(a) + k))
-            joint = _pattern_mass(model, environment, (None,) * offset + pattern)
-            worst_fiber = max(worst_fiber, _deviation(joint, product))
-    return MixingReport(worst_marginal, worst_fiber, len(words) ** 2 * len(k_list))
-
-
-def _deviation(joint: float, product: float) -> float:
-    return abs(joint - product) / product if product > 0 else 0.0
-
-
-def _pattern_mass(model, env: Environment, pattern) -> float:
-    """Mass of the words that carry pattern[i] at position i wherever it is
-    not None (any symbol there): one forward pass over ``model.dp_tables``,
-    the chain the exact DP reads.  The start states are weighted by whether
-    they spell the pattern's head; then a fixed position applies its
-    symbol's table, a free one the sum over symbols."""
-    pattern = tuple(pattern) + (None,) * (model.depth - 1 - len(pattern))
-    fixed = tuple(s for s in pattern if s is not None)
-    alphabet, states, init, tables = model.dp_tables(env, fixed, len(pattern))
-    head = len(states[0])
-    mass = np.array([p * all(c is None or alphabet.index(c) == s for c, s in zip(pattern, state))
-                     for p, state in zip(init, states)])
-    for i, c in enumerate(pattern[head:]):
-        table = tables[min(i, len(tables) - 1)]
-        mass = (table.sum(axis=0) if c is None else table[alphabet.index(c)]) @ mass
-    return float(mass.sum())
+def ratio_convergence(model, x: PeriodicPoint, n_max: int) -> list[tuple[int, float, float]]:
+    """(n, ratio, |ratio - theta|) for n = 1..n_max, where ratio is the mass
+    ratio mu(A_{n+m}(x)) / mu(A_n(x)) of the marginal cylinders at the
+    point's minimal period m; theta is its limit."""
+    if n_max < 2 * x.period:
+        raise ValueError(f"n_max must be at least 2m = {2 * x.period}")
+    theta = model.theta(x)
+    out = []
+    for n in range(1, n_max + 1):
+        a_n = model.marginal_cylinder_mass(x.prefix(n))
+        a_nm = model.marginal_cylinder_mass(x.prefix(n + x.period))
+        ratio = a_nm / a_n
+        out.append((n, ratio, abs(ratio - theta)))
+    return out

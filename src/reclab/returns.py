@@ -24,66 +24,38 @@ distribution of this count when z is drawn from a fiber measure:
   partition (``models._cumulative_weights``) as ``sample_words``.
   ``_sampled_classes`` yields class masks in slabs of ``_MC_SLAB_FLOATS``
   uniforms, and ``_window_mask`` marks where the target occurs in them; the
-  cluster estimator ``experiments.theta_cluster_estimate`` reads them too.
+  cluster estimator ``checks.theta_cluster_estimate`` reads them too.
 
 Each engine checks the target with the model's ``validate_target`` and
 reads only the protocol listed in ``reclab.models``: the DP ``dp_width``
-and ``dp_tables`` (whose chain ``models.check_psi_mixing`` reads too);
+and ``dp_tables`` (whose chain ``checks.check_psi_mixing`` reads too);
 enumeration a complete ``alphabet``, ``depth`` and ``symbol_weight_matrix``,
 or ``fiber_cylinder_mass`` per word when ``depth`` > 1; Monte Carlo
 ``alphabet``, then ``symbol_weight_matrix`` and ``tail_mass_bound`` at
-depth 1, ``sample_words`` at depth > 1; the moment layer
-``symbol_weight_matrix``.
-
-The module also implements the return-pattern taxonomy used by the moment
-method: increasing return-time tuples, their decomposition into blocks of
-immediate returns (consecutive gaps at most M) separated by long returns
-(gaps above M), per-block overlaps in units of the minimal period m, the
-minimal inter-block distance, and the "rare" patterns whose inter-block
-distance (minus n) falls below a cutoff.  ``binomial_moment_enumeration``
-sums fiber masses over all return-time tuples, which equals the binomial
-moment E[C(count, r)], and ``rare_vs_main_split`` partitions that sum into
-its rare and main parts.  Both run one recurrence over placement levels:
-level k holds, per last placement, the mass of the k-tuples ending there
-in a main and a rare vector; the next placement comes after a long gap
-(g >= n, prefix sums over segments of earlier starts) or a self-overlap
-gap (an extension factor), and a gap in the rare window moves mass to the
-rare vector.  It costs horizon * r * (overlaps + 2) terms; the moment sum
-is the case with an empty rare window.
+depth 1, ``sample_words`` at depth > 1.  ``expected_return_count``, the
+exact mean, reads the per-offset placement masses of ``_placement_suffix``,
+as the moment layer in ``reclab.checks`` does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .models import _SLAB_CELLS, Environment, _cumulative_weights
 from .polya_aeppli import CountDistribution
-from .symbolic import _border_array, as_word, self_overlaps
+from .symbolic import _border_array, as_word
 
 __all__ = [
-    "BudgetError",
-    "ReturnPattern",
-    "PatternClass",
-    "CountDistribution",
-    "count_returns",
-    "observation_time",
-    "classify_pattern",
-    "is_rare",
-    "exact_count_distribution",
-    "enumerate_count_distribution",
-    "monte_carlo_count_distribution",
-    "expected_return_count",
-    "binomial_moment_enumeration",
-    "rare_vs_main_split",
+    "BudgetError", "CountDistribution", "count_returns", "observation_time",
+    "exact_count_distribution", "enumerate_count_distribution",
+    "monte_carlo_count_distribution", "expected_return_count",
 ]
 
 DEFAULT_BUDGET_CELLS = 1_000_000_000
 DEFAULT_BUDGET_WORDS = 1 << 22
-DEFAULT_BUDGET_TUPLES = 50_000_000
 DEFAULT_R_MAX = 64
 # floats of keep and emit operators the exact DP holds at a time: a slab of
 # positions this small stays in cache, and memory does not grow with the
@@ -94,51 +66,6 @@ _MC_SLAB_FLOATS = 1 << 16  # uniforms per Monte Carlo slab: with its masks, it s
 
 class BudgetError(RuntimeError):
     """An engine refused to run past its configured compute budget."""
-
-
-@dataclass(frozen=True)
-class ReturnPattern:
-    """A strictly increasing tuple of return times within [1, horizon]."""
-
-    times: tuple[int, ...]
-    horizon: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(int(v) for v in self.times))
-        v = self.times
-        if len(v) == 0:
-            raise ValueError("return pattern must contain at least one time")
-        if v[0] < 1 or v[-1] > self.horizon or any(a >= b for a, b in zip(v, v[1:])):
-            raise ValueError(
-                f"times must satisfy 1 <= v_1 < ... < v_r <= {self.horizon}, got {v}"
-            )
-
-    @property
-    def r(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
-class PatternClass:
-    """Block decomposition of a return pattern.
-
-    ``heads`` are 1-based indices into the pattern marking block starts
-    (the first is always 1); gaps at most the block threshold are
-    within-block, larger gaps separate blocks.  Overlaps are within-block
-    gaps in units of the minimal period m; within-block gaps that are not
-    multiples of m are reported in ``non_multiple_gaps`` rather than
-    rejected (they cannot arise from a periodic-point cylinder, but the
-    classifier accepts general patterns).  ``delta`` is the minimal
-    head-to-previous-tail distance between consecutive blocks, None for a
-    single block.
-    """
-
-    j: int
-    heads: tuple[int, ...]
-    individual_overlaps: tuple[float, ...]
-    total_overlap: float
-    delta: int | None
-    non_multiple_gaps: tuple[int, ...]
 
 
 def count_returns(z, target, horizon: int) -> int:
@@ -170,52 +97,6 @@ def observation_time(t: float, cylinder_mass: float) -> int:
             f"observation window is empty: t={t}, mass={cylinder_mass}"
         )
     return horizon
-
-
-def classify_pattern(pattern, block_gap: int, period: int) -> PatternClass:
-    """Decompose a return pattern into blocks of immediate returns.
-
-    ``block_gap`` is the threshold M: consecutive gaps <= M stay within a
-    block, gaps > M start a new one.  ``period`` is the unit m for the
-    overlap counts.
-    """
-    if isinstance(pattern, ReturnPattern):
-        times = pattern.times
-    else:
-        times = tuple(int(v) for v in pattern)
-        times = ReturnPattern(times, horizon=max(times, default=0)).times
-    if period < 1:
-        raise ValueError("period must be >= 1")
-    if block_gap < period:
-        raise ValueError(f"block threshold {block_gap} must be >= period {period}")
-    heads = [1]
-    overlaps: list[float] = []
-    non_multiple: list[int] = []
-    inter_gaps: list[int] = []
-    for k in range(1, len(times)):
-        gap = times[k] - times[k - 1]
-        if gap > block_gap:
-            heads.append(k + 1)
-            inter_gaps.append(gap)
-        else:
-            overlaps.append(gap / period)
-            if gap % period != 0:
-                non_multiple.append(gap)
-    return PatternClass(
-        j=len(heads),
-        heads=tuple(heads),
-        individual_overlaps=tuple(overlaps),
-        total_overlap=float(sum(overlaps)),
-        delta=min(inter_gaps) if inter_gaps else None,
-        non_multiple_gaps=tuple(non_multiple),
-    )
-
-
-def is_rare(pattern_class: PatternClass, delta: int, n: int) -> bool:
-    """True when the minimal inter-block distance minus n is below delta."""
-    if pattern_class.j == 1:
-        return False
-    return pattern_class.delta - n < delta
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +574,7 @@ def _class_bounds(model, env: Environment, distinct, length: int):
 
 
 # ---------------------------------------------------------------------------
-# moment enumeration over return-time tuples
+# placement masses and the exact mean
 # ---------------------------------------------------------------------------
 
 
@@ -721,102 +602,3 @@ def expected_return_count(model, env: Environment, target, horizon: int) -> floa
         return horizon * model.marginal_cylinder_mass(target)
     suffix = _placement_suffix(model, env, target, horizon)
     return float(suffix[:, 0].sum())
-
-
-def binomial_moment_enumeration(
-    model,
-    env: Environment,
-    target,
-    horizon: int,
-    r: int,
-    budget_terms: int = DEFAULT_BUDGET_TUPLES,
-) -> float:
-    """Sum of fiber masses of all r-fold return-time tuples in [1, horizon].
-
-    The sum runs over strictly increasing tuples (v_1 < ... < v_r); the
-    mass of a tuple is the fiber mass of the intersection of the shifted
-    target cylinders, zero when overlapping placements conflict, and the
-    whole sum equals the binomial moment E[C(count, r)] of the return
-    count.  It is the module's placement recurrence with an empty rare
-    window, which leaves the result identical to the naive tuple-by-tuple
-    sum.
-    """
-    tw = _checked_target(model, target, horizon)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if r == 0:
-        return 1.0
-    return _placement_recurrence(model, env, tw, horizon, r, range(0), budget_terms)[1]
-
-
-def rare_vs_main_split(
-    model,
-    env: Environment,
-    target,
-    horizon: int,
-    r: int,
-    delta: int,
-    block_gap: int,
-    period: int,
-    budget_tuples: int = DEFAULT_BUDGET_TUPLES,
-) -> tuple[float, float]:
-    """Split the r-th moment sum into its rare and main parts.
-
-    A return-time tuple is rare when some inter-block distance (a
-    consecutive gap above ``block_gap``) minus the target length falls
-    below ``delta``; the two partial sums reproduce
-    ``binomial_moment_enumeration`` up to rounding.  ``budget_tuples`` caps
-    the recurrence's term count, as ``budget_terms`` does there.
-    """
-    tw = _checked_target(model, target, horizon)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if block_gap < period:
-        raise ValueError(f"block threshold {block_gap} must be >= period {period}")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    # an inter-block gap g is rare when g - n < delta; overlap gaps are below n
-    rare_gaps = range(block_gap + 1, len(tw) + delta)
-    return _placement_recurrence(model, env, tw, horizon, r, rare_gaps, budget_tuples)
-
-
-def _placement_recurrence(
-    model, env: Environment, tw, horizon: int, r: int, rare_gaps: range, budget_terms: int
-) -> tuple[float, float]:
-    """(rare, main) fiber-mass sums over the r-fold return-time tuples (r >= 1);
-    a tuple is rare once a consecutive gap lies in ``rare_gaps``.  The
-    recurrence is the one described in the module docstring."""
-    if r > horizon:
-        return 0.0, 0.0
-    n = len(tw)
-    overlaps = sorted(g for g in self_overlaps(tw) if g < n) if n >= 2 else []
-    terms = horizon * r * (len(overlaps) + 2)
-    if terms > budget_terms:
-        raise BudgetError(f"enumeration needs {terms} terms, budget is {budget_terms}")
-    suffix = _placement_suffix(model, env, tw, horizon)
-    a_mass = suffix[:, 0]
-    # the long rare gaps [lo, hi], empty when hi = lo - 1
-    lo = max(n, rare_gaps.start)
-    hi = max(rare_gaps.stop - 1, lo - 1)
-    starts = np.arange(horizon)
-
-    def gap_sums(pref, g_lo, g_hi):
-        # per placement v, the level summed over earlier u with g_lo <= v - u <= g_hi
-        return pref[np.maximum(starts - g_lo + 1, 0)] - pref[np.maximum(starts - g_hi, 0)]
-
-    main, rare = a_mass.copy(), np.zeros(horizon)
-    for _ in range(2, r + 1):
-        pref_main = np.concatenate(([0.0], np.cumsum(main)))  # pref[j] = sum_{u<=j}
-        pref_rare = np.concatenate(([0.0], np.cumsum(rare)))
-        keep = gap_sums(pref_main, n, lo - 1) + gap_sums(pref_main, hi + 1, horizon)
-        new_main = a_mass * keep
-        new_rare = a_mass * (gap_sums(pref_rare, n, horizon) + gap_sums(pref_main, lo, hi))
-        for g in overlaps:
-            ext = suffix[g:, n - g]
-            if g in rare_gaps:
-                new_rare[g:] += (main[: horizon - g] + rare[: horizon - g]) * ext
-            else:
-                new_main[g:] += main[: horizon - g] * ext
-                new_rare[g:] += rare[: horizon - g] * ext
-        main, rare = new_main, new_rare
-    return float(rare.sum()), float(main.sum())

@@ -12,7 +12,7 @@ also parse from the compact form "0101".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 

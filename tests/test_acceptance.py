@@ -15,6 +15,7 @@ import pytest
 import reclab as rl
 from reclab.cli import main as cli_main
 from reclab.experiments import environment_seed
+from reclab.models import ratio_convergence
 
 MASTER_SEED = 20260808
 
@@ -269,7 +270,7 @@ def test_criterion_10_transfer_operator():
             (system, POINT_2),
             (coin, POINT_1),
         ):
-            rows = sys_.ratio_convergence(point, 12)
+            rows = ratio_convergence(sys_, point, 12)
             _, last_ratio, _ = rows[-1]
             assert abs(sys_.theta(point) - last_ratio) < 1e-8
             factor = rl.fit_decay_factor([dev for _, _, dev in rows])

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import reclab.checks
 import reclab.cli
+import reclab.models
 import reclab.polya_aeppli
 import reclab.returns
 from reclab.cli import ConfigError, load_config, main
 
+ROOT = Path(__file__).resolve().parents[1]
 
 CANONICAL_CONFIG = {
     "model": {"kind": "two-element", "alpha": 0.3, "beta": 0.7, "driving_p": 0.5},
@@ -261,6 +264,48 @@ def test_config_values_the_model_cannot_carry_are_fatal(tmp_path, capsys, replac
     assert not (out / "quenched.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "replace, message",
+    [
+        (lambda doc: {**doc, "engines": ["exact-dp", "exact-dp"]},
+         "engines must not repeat, got ['exact-dp', 'exact-dp']"),
+        (lambda doc: {**doc, "schedule": {**doc["schedule"], "r_max": -1}},
+         "schedule.r_max must be a nonnegative integer, got -1"),
+    ],
+    ids=["repeated-engine", "negative-r-max"],
+)
+def test_repeated_engines_and_a_negative_r_max_are_refused_before_any_draw(
+    tmp_path, capsys, monkeypatch, replace, message
+):
+    drawn = []
+    monkeypatch.setattr(reclab.models.TwoElementModel, "draw_environment",
+                        lambda *args: drawn.append(args))
+    config = _write_config(tmp_path, replace(CANONICAL_CONFIG))
+    out = tmp_path / "run"
+    assert main(["converge", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert drawn == []
+    assert not (out / "quenched.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, lines",
+    [
+        ("configs/quenched_two_element.json", ["theta", "ratio_max_deviation"]),
+        ("bench/configs/countable_mc.json", ["theta", "ratio_max_deviation"]),
+        ("configs/golden_mean.json", ["theta", "ratio_max_deviation", "ratio_decay_factor"]),
+        ("bench/configs/gibbs_markov.json",
+         ["theta", "ratio_max_deviation", "ratio_decay_factor"]),
+    ],
+)
+def test_theta_prints_its_named_lines(capsys, config, lines):
+    assert main(["theta", "--config", str(ROOT / config)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in out] == lines
+    for line in out:
+        assert math.isfinite(float(line.split(" ")[1]))
+
+
 def test_converge_refuses_a_window_too_long_for_a_float(tmp_path, capsys):
     doc = json.loads(json.dumps(CANONICAL_CONFIG))
     doc["model"].update(alpha=0.5, beta=0.5)
@@ -316,8 +361,8 @@ def test_selfcheck_detects_injected_pmf_bug(monkeypatch, capsys):
 def test_selfcheck_pass_lines_carry_their_measured_deviation(capsys):
     assert main(["selfcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()[:-1]
-    assert len(lines) == len(reclab.cli._SELFCHECKS)
-    for line, (name, compare, bound, _) in zip(lines, reclab.cli._SELFCHECKS):
+    assert len(lines) == len(reclab.checks._SELFCHECKS)
+    for line, (name, compare, bound, _) in zip(lines, reclab.checks._SELFCHECKS):
         verdict, row, worst, vs, printed_bound = line.split(" ")
         assert (verdict, row, vs) == ("PASS", f"{name}:", "vs")
         assert compare(float(worst), bound) and float(printed_bound) == bound
@@ -327,10 +372,10 @@ def test_selfcheck_reports_a_raising_measure_and_runs_the_rest(monkeypatch, caps
     def broken():
         raise RuntimeError("measure exploded")
 
-    rows = list(reclab.cli._SELFCHECKS)
+    rows = list(reclab.checks._SELFCHECKS)
     name, compare, bound, _ = rows[3]
     rows[3] = (name, compare, bound, broken)
-    monkeypatch.setattr(reclab.cli, "_SELFCHECKS", rows)
+    monkeypatch.setattr(reclab.checks, "_SELFCHECKS", rows)
     rc = main(["selfcheck"])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 1

@@ -16,6 +16,7 @@ from reclab import (
     normalize_potential,
     perron_eigendata,
 )
+from reclab.models import ratio_convergence
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -37,9 +38,9 @@ def coin_system():
 
 def test_depth_one_normalized_coin():
     full = TransitionMatrix.full(2)
-    op = build_transfer_matrix(Potential.constant(math.log(0.5), full, depth=1), full)
-    assert op.matrix.shape == (1, 1)
-    assert op.matrix[0, 0] == pytest.approx(1.0)
+    mat = build_transfer_matrix(Potential.constant(math.log(0.5), full, depth=1), full)
+    assert mat.shape == (1, 1)
+    assert mat[0, 0] == pytest.approx(1.0)
 
 
 def test_bernoulli_depth_two_eigendata(coin_system):
@@ -108,9 +109,9 @@ def test_normalize_is_idempotent_on_normalized(coin_system):
 
 
 def test_normalized_golden_mean_has_zero_pressure(golden, golden_system):
-    op = build_transfer_matrix(golden_system.normalized, golden)
-    assert np.max(np.abs(op.matrix.sum(axis=0) - 1.0)) < 1e-10
-    assert math.log(perron_eigendata(op).lam) == pytest.approx(0.0, abs=1e-10)
+    mat = build_transfer_matrix(golden_system.normalized, golden)
+    assert np.max(np.abs(mat.sum(axis=0) - 1.0)) < 1e-10
+    assert math.log(perron_eigendata(mat).lam) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_cylinder_masses_product_case(coin_system):
@@ -173,19 +174,19 @@ def test_theta_matches_ratio_limit(golden):
         )
         for gen in ((0,), (0, 1)):
             x = PeriodicPoint(Word(gen))
-            rows = system.ratio_convergence(x, 12)
+            rows = ratio_convergence(system, x, 12)
             n, ratio, dev = rows[-1]
             assert ratio == pytest.approx(system.theta(x), abs=1e-8)
             assert dev < 1e-8
 
 
 def test_ratio_deviations_vanish_beyond_memory(coin_system, golden_system):
-    rows = coin_system.ratio_convergence(PeriodicPoint(Word((0,))), 10)
+    rows = ratio_convergence(coin_system, PeriodicPoint(Word((0,))), 10)
     assert all(dev < 1e-14 for _, _, dev in rows)
-    rows = golden_system.ratio_convergence(PeriodicPoint(Word((0,))), 10)
+    rows = ratio_convergence(golden_system, PeriodicPoint(Word((0,))), 10)
     assert all(dev < 1e-14 for _, _, dev in rows)
     with pytest.raises(ValueError):
-        coin_system.ratio_convergence(PeriodicPoint(Word((0, 1))), 3)
+        ratio_convergence(coin_system, PeriodicPoint(Word((0, 1))), 3)
 
 
 def test_fit_decay_factor():

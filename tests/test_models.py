@@ -13,7 +13,7 @@ from reclab import (
     Word,
     check_psi_mixing,
 )
-from reclab.models import _NORMALIZER_TERMS, SENTINEL_SYMBOL, _normalizers
+from reclab.models import _NORMALIZER_TERMS, SENTINEL_SYMBOL, _normalizers, ratio_convergence
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +109,29 @@ def test_theta_depends_only_on_cyclic_word():
 def test_theta_ratio_sequence_is_constant(two_elt):
     x = PeriodicPoint(Word((0, 1)))
     theta = two_elt.theta(x)
-    for ratio in two_elt.theta_ratio_sequence(x, [2, 3, 5, 9, 14]):
+    for _, ratio, _ in ratio_convergence(two_elt, x, 14):
         assert ratio == pytest.approx(theta, abs=1e-13)
     with pytest.raises(ValueError):
-        two_elt.theta_ratio_sequence(x, [4, 4])
+        ratio_convergence(two_elt, x, 3)
+
+
+@pytest.mark.parametrize(
+    "model, generator",
+    [
+        (TwoElementModel(0.3, 0.7, 0.5), (0, 1)),
+        (TwoElementModel(0.2, 0.9, 0.35), (1, 1, 0)),
+        (CountableModel(0.5, alphabet_cutoff=256), (3, 4)),
+        (MarginalModel(CountableModel(0.3, alphabet_cutoff=64)), (5,)),
+    ],
+    ids=["two-element", "two-element-period-3", "countable", "marginal-countable"],
+)
+def test_ratio_convergence_rows_of_product_models_equal_theta(model, generator):
+    x = PeriodicPoint(Word(generator))
+    theta = model.theta(x)
+    rows = ratio_convergence(model, x, 12)
+    assert [n for n, _, _ in rows] == list(range(1, 13))
+    for _, ratio, dev in rows:
+        assert dev == abs(ratio - theta) <= 1e-13
 
 
 def test_fiber_sampling_frequencies(two_elt):
@@ -239,7 +258,7 @@ def test_countable_theta_and_ratios(countable):
     assert theta == pytest.approx(
         countable.marginal_symbol_weight(3) * countable.marginal_symbol_weight(4)
     )
-    for ratio in countable.theta_ratio_sequence(x, [4, 6, 10]):
+    for _, ratio, _ in ratio_convergence(countable, x, 10):
         assert ratio == pytest.approx(theta, abs=1e-9)
     with pytest.raises(ValueError):
         countable.theta(PeriodicPoint(Word((2,))))

@@ -22,7 +22,7 @@ from reclab import (
     TransitionMatrix,
     TwoElementModel,
 )
-from reclab.models import _pattern_mass
+from reclab.checks import _pattern_mass
 
 PAST = "past the cutoff"
 POOL = [(0,), (0, 1), (1, 1, 0)]
