@@ -7,8 +7,7 @@ hard errors (silent typos in experiment configs are the main operational
 hazard this guards against).  CSV numbers are written with 17 significant
 digits so exact-engine runs round-trip byte-identically.
 
-The output directory comes from --out, overridden by the RECLAB_OUT
-environment variable when set.
+The output directory comes from --out.
 
 A command loads only what it runs: ``reclab.gibbs`` is imported for a
 ``gibbs`` model, and ``reclab.checks`` (the self-check suite) for
@@ -21,7 +20,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -161,8 +159,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _out_dir(args) -> Path:
-    out = os.environ.get("RECLAB_OUT") or args.out
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 

@@ -37,6 +37,8 @@ from .returns import (
     DEFAULT_BUDGET_CELLS,
     DEFAULT_BUDGET_WORDS,
     BudgetError,
+    _dp_cells,
+    _enumeration_words,
     enumerate_count_distribution,
     exact_count_distribution,
     monte_carlo_count_distribution,
@@ -203,28 +205,38 @@ def _group_rows(quenched: list[QuenchedResult]) -> dict[tuple[int, str], list[Qu
     return by_key
 
 
-def _run_engine(config: ExperimentConfig, env, engine: str, target, n: int, horizon: int, env_index: int) -> CountDistribution:
-    try:
-        if engine == "exact-dp":
-            return exact_count_distribution(
-                config.model, env, target, horizon,
-                r_max=config.r_max, budget_cells=config.budget_cells,
-            )
-        if engine == "enumeration":
-            return enumerate_count_distribution(
-                config.model, env, target, horizon, budget_words=config.budget_words
-            )
-        return monte_carlo_count_distribution(
+def _run_engine(config: ExperimentConfig, env, engine: str, target, horizon: int,
+                env_index: int) -> CountDistribution:
+    if engine == "exact-dp":
+        return exact_count_distribution(
             config.model, env, target, horizon,
-            trials=config.trials,
-            seed=trial_seed(config.master_seed, env_index),
-            r_max=config.r_max,
+            r_max=config.r_max, budget_cells=config.budget_cells,
         )
-    except BudgetError as exc:
-        raise BudgetError(
-            f"{exc} (engine {engine}, n={n}, horizon={horizon}, "
-            f"environment {env_index})"
-        ) from exc
+    if engine == "enumeration":
+        return enumerate_count_distribution(
+            config.model, env, target, horizon, budget_words=config.budget_words
+        )
+    return monte_carlo_count_distribution(
+        config.model, env, target, horizon,
+        trials=config.trials,
+        seed=trial_seed(config.master_seed, env_index),
+        r_max=config.r_max,
+    )
+
+
+def _check_budgets(config: ExperimentConfig, horizons: dict[int, int]) -> None:
+    """Raise, naming the engine, n and the horizon, the BudgetError an exact
+    engine would raise at some n: no engine's cost depends on the environment."""
+    for n, horizon in horizons.items():
+        tw = config.model.validate_target(config.point.prefix(n))
+        for engine in config.engines:
+            try:
+                if engine == "exact-dp":
+                    _dp_cells(config.model, tw, horizon, config.r_max, config.budget_cells)
+                elif engine == "enumeration":
+                    _enumeration_words(config.model, horizon + n, config.budget_words)
+            except BudgetError as exc:
+                raise BudgetError(f"{exc} (engine {engine}, n={n}, horizon={horizon})") from exc
 
 
 def _environments(config: ExperimentConfig, window: int) -> list:
@@ -238,26 +250,27 @@ def _environments(config: ExperimentConfig, window: int) -> list:
 def run_quenched(config: ExperimentConfig) -> list[QuenchedResult]:
     """One result per environment, by index, with its rows in (n, engine) order.
 
-    One n-major pass over environments drawn once: theta and each n's target
-    and horizon are computed once, then each (n, engine) runs over the
-    environments, once in all for an exact engine on an ``environment_free``
-    model, else once per environment (Monte Carlo with that environment's
-    trial seed).
+    One n-major pass over environments drawn once, after each n's horizon
+    passed the exact engines' budgets: theta and each n's target are computed
+    once, then each (n, engine) runs over the environments, once in all for
+    an exact engine on an ``environment_free`` model, else once per
+    environment (Monte Carlo with that environment's trial seed).
     """
     model = config.model
+    horizons = {n: config.horizon(n) for n in config.n_list}
+    _check_budgets(config, horizons)
     envs = _environments(config, config.window_length())
     theta = model.theta(config.point)
     params = PolyaAeppliParams(t=(1.0 - theta) * config.t, p=theta)
     tables: dict[int, CountDistribution] = {}
     rows: list[list[QuenchedRow]] = [[] for _ in envs]
-    for n in config.n_list:
+    for n, horizon in horizons.items():
         target = config.point.prefix(n)
-        horizon = config.horizon(n)
         for engine in config.engines:
             if model.environment_free and engine != "monte-carlo":
-                dists = [_run_engine(config, envs[0], engine, target, n, horizon, 0)] * len(envs)
+                dists = [_run_engine(config, envs[0], engine, target, horizon, 0)] * len(envs)
             else:
-                dists = [_run_engine(config, env, engine, target, n, horizon, i)
+                dists = [_run_engine(config, env, engine, target, horizon, i)
                          for i, env in enumerate(envs)]
             for env_rows, dist in zip(rows, dists):
                 if dist.r_max not in tables:

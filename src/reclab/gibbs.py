@@ -233,13 +233,13 @@ def _power_leading(mat: np.ndarray) -> tuple[float, np.ndarray]:
     )
 
 
-def normalize_potential(
-    potential: Potential, transitions: TransitionMatrix, perron: PerronData
-) -> Potential:
+def normalize_potential(potential: Potential, perron: PerronData) -> Potential:
     """Subtract the pressure and the eigenfunction coboundary.
 
-    The result has transfer eigenvalue 1 and constant eigenfunction; a
-    potential already in that form is returned unchanged up to rounding.
+    ``perron`` is the Perron data of the potential's transfer matrix, its
+    states naming the rows.  The result has transfer eigenvalue 1 and
+    constant eigenfunction; a potential already in that form is returned
+    unchanged up to rounding.
     """
     k = potential.depth
     index = {s: i for i, s in enumerate(perron.states)}
@@ -272,7 +272,7 @@ class GibbsSystem:
         self.potential = potential
         self.states = tuple(transitions.admissible_tuples(potential.depth - 1))
         self.perron = perron_eigendata(build_transfer_matrix(potential, transitions), self.states)
-        self.normalized = normalize_potential(potential, transitions, self.perron)
+        self.normalized = normalize_potential(potential, self.perron)
         self.state_index = {s: i for i, s in enumerate(self.states)}
         self.state_masses = self.perron.h * self.perron.nu
         self.state_masses = self.state_masses / self.state_masses.sum()
@@ -350,29 +350,24 @@ class GibbsSystem:
     def chain_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(initial state probs, next_state[state, a], prob[state, a]).
 
-        next_state is -1 where the transition is inadmissible.  States are
-        the admissible (k-1)-words; for depth 1 there is a single state.
+        Where a transition is inadmissible, next_state is 0 and prob is 0.
+        States are the admissible (k-1)-words; for depth 1 there is a single
+        state, (), of mass 1.
         """
         size = self.transitions.size
         n_states = len(self.states)
         nxt = np.full((n_states, size), -1, dtype=np.int64)
         prob = np.zeros((n_states, size))
         for i, s in enumerate(self.states):
-            mass_s = self.state_masses[i] if self.depth > 1 else 1.0
             for a in range(size):
                 word = s + (a,)
                 if not self.transitions.word_is_admissible(word):
                     continue
-                if self.depth == 1:
-                    p = self._norm_values[(a,)]
-                    j = i
-                else:
-                    j = self.state_index.get(word[1:])
-                    if j is None:
-                        continue
-                    p = self._norm_values[word] * self.state_masses[j] / mass_s
+                j = self.state_index.get(word[1:])
+                if j is None:
+                    continue
                 nxt[i, a] = j
-                prob[i, a] = p
+                prob[i, a] = self._norm_values[word] * self.state_masses[j] / self.state_masses[i]
         nxt[nxt < 0] = 0  # dead transitions keep probability 0
         return self.state_masses.copy(), nxt, prob
 
@@ -437,9 +432,6 @@ class GibbsSystem:
 
     def marginal_cylinder_mass(self, w) -> float:
         return self.cylinder_mass(w)
-
-    def marginal_symbol_weight(self, s: int) -> float:
-        return self.cylinder_mass((s,))
 
 
 def fit_decay_factor(deviations, floor: float = 1e-14) -> float:

@@ -38,9 +38,9 @@ fibers), ``environment_free``, ``dp_width`` (read before any table is
 built) and ``dp_tables`` for the exact DP and ``checks.check_psi_mixing``'s
 joint masses, ``symbol_weight_matrix``, ``fiber_cylinder_mass``,
 ``marginal_cylinder_mass``, ``sample_words``, ``draw_environment`` and
-``theta_report`` (the lines of ``reclab theta``).  A product model may add
-``marginal_symbol_weights(symbols)``, the vector form of
-``marginal_symbol_weight``, which ``MarginalModel`` reads when present.
+``theta_report`` (the lines of ``reclab theta``).  A product model also
+answers ``marginal_symbol_weights(symbols)``, which ``MarginalModel`` reads;
+the base class's ``marginal_symbol_weight(s)`` is its scalar view.
 ``ratio_convergence`` reads the marginal mass ratios whose limit is theta.
 """
 
@@ -196,10 +196,9 @@ class _ProductModelBase:
     tail_mass_bound = 0.0
     alphabet: range
 
-    # Concrete models supply _draw_coordinates(rng, length),
-    # symbol_weight_matrix(env, start, length, symbols) (the (length,
-    # len(symbols)) fiber weights p_s(w_{start+i})), marginal_symbol_weight(s),
-    # validate_target_symbol(s) and mixing_profile(k_max).
+    # Concrete models supply _draw_coordinates(rng, length), symbol_weight_matrix(env,
+    # start, length, symbols) (the (length, len(symbols)) fiber weights p_s(w_{start+i})),
+    # marginal_symbol_weights(symbols), validate_target_symbol(s) and mixing_profile(k_max).
 
     def validate_target(self, target) -> tuple[int, ...]:
         tw = as_word(target).symbols
@@ -233,6 +232,9 @@ class _ProductModelBase:
         mat = self.symbol_weight_matrix(env, offset, len(word), word.symbols)
         # column i of the matrix is the weight of word[i]; take the diagonal
         return float(np.prod(np.diagonal(mat)))
+
+    def marginal_symbol_weight(self, s: int) -> float:
+        return float(self.marginal_symbol_weights([s])[0])
 
     def marginal_cylinder_mass(self, w) -> float:
         word = as_word(w)
@@ -289,17 +291,14 @@ def _cumulative_weights(model, env: Environment, start: int, length: int, symbol
     summed fiber weight of the first c of ``symbols`` at position
     start + i + k (cum[:, 0] is 0), so a uniform u there draws symbols[c]
     when cum[k, c] <= u < cum[k, c + 1].  Over a prefix of the alphabet the
-    sums are the first columns of those over the whole alphabet.  On an
-    ``environment_free`` model every position has the same weights, so one
-    row is summed and read at every position of the slab.
+    sums are the first columns of those over the whole alphabet.
     """
     step = max(1, cells // len(symbols))
     for i in range(0, length, step):
         weights = model.symbol_weight_matrix(env, start + i, min(step, length - i), symbols)
-        rows = 1 if model.environment_free else len(weights)
-        cum = np.zeros((rows, len(symbols) + 1))
-        np.cumsum(weights[:rows], axis=1, out=cum[:, 1:])
-        yield i, np.broadcast_to(cum, (len(weights), len(symbols) + 1))
+        cum = np.zeros((len(weights), len(symbols) + 1))
+        np.cumsum(weights, axis=1, out=cum[:, 1:])
+        yield i, cum
 
 
 def _seed_label(seed) -> int | str:
@@ -360,13 +359,12 @@ class TwoElementModel(_ProductModelBase):
         s = np.asarray(symbols)
         return np.where(s == 0, p0, np.where(s == 1, 1.0 - p0, 0.0))
 
-    def marginal_symbol_weight(self, s: int) -> float:
+    def marginal_symbol_weights(self, symbols) -> np.ndarray:
         p, q = self.driving_p, 1.0 - self.driving_p
-        if s == 0:
-            return self.alpha * p + self.beta * q
-        if s == 1:
-            return (1.0 - self.alpha) * p + (1.0 - self.beta) * q
-        return 0.0
+        s = np.asarray(symbols)
+        zero = self.alpha * p + self.beta * q
+        one = (1.0 - self.alpha) * p + (1.0 - self.beta) * q
+        return np.where(s == 0, zero, np.where(s == 1, one, 0.0))
 
     def validate_target_symbol(self, s: int) -> None:
         if s not in (0, 1):
@@ -388,7 +386,8 @@ class CountableModel(_ProductModelBase):
     in closed form (``_normalizers``, one vector call per weight table) to
     <= 4e-15 relative.  It lies 2.6-4.2e-13 relative from the inverse of
     the infinite series; switching to the series waits for the benchmark's
-    countable references (checked to 1e-12) to be re-recorded.
+    countable references (checked to 1e-12) to be re-recorded.  Marginal
+    weights are computed on each call, by quadrature over u.
 
     For sampling, the alphabet is truncated at ``alphabet_cutoff``;
     the certified bound on the truncated mass (uniform over u) is
@@ -420,8 +419,6 @@ class CountableModel(_ProductModelBase):
         self._gl_nodes = self.epsilon + half * (nodes + 1.0)
         self._gl_weights = gl_weights * half / (1.0 - self.epsilon)
         self._gl_normalizers = _normalizers(self._gl_nodes)
-        # marginal weights of the alphabet, NaN until first asked for
-        self._marginal_table = np.full(len(self.alphabet), np.nan)
 
     def __repr__(self) -> str:
         return (
@@ -447,39 +444,20 @@ class CountableModel(_ProductModelBase):
         out[:, s < 3] = 0.0  # symbols 1 and 2 carry no mass
         return out
 
-    def marginal_symbol_weight(self, s: int) -> float:
-        return float(self.marginal_symbol_weights([s])[0])
-
     def marginal_symbol_weights(self, symbols) -> np.ndarray:
-        """``marginal_symbol_weight`` of every symbol of an array: 0 below 3,
-        read from the alphabet's table (filled as symbols are first asked
-        for), computed afresh past the cutoff."""
+        """The marginal weight of every symbol of an array, past the cutoff
+        too: 0 below 3, else the Gauss-Legendre average over u of G(u) /
+        (s log^{1+u} s), in slabs of at most ``_SLAB_CELLS`` (symbol, node)
+        cells.  Each entry depends on its own symbol alone, so a symbol gets
+        the same bits whichever array it arrives in."""
         s = np.asarray(symbols, dtype=float)
-        out = np.zeros(s.shape)
-        inside = (s >= 3) & (s <= self.alphabet_cutoff)
-        index = s[inside].astype(np.intp) - 3
-        # a repeated missing symbol is computed once per repeat, to the same
-        # bits; np.unique's sort code would add ~1 MB to a run's peak memory
-        missing = index[np.isnan(self._marginal_table[index])]
-        if missing.size:
-            self._marginal_table[missing] = self._quadrature_marginals(missing + 3.0)
-        out[inside] = self._marginal_table[index]
-        beyond = s > self.alphabet_cutoff
-        if beyond.any():
-            out[beyond] = self._quadrature_marginals(s[beyond])
-        return out
-
-    def _quadrature_marginals(self, s: np.ndarray) -> np.ndarray:
-        """The Gauss-Legendre average over u of G(u) / (s log^{1+u} s), per
-        symbol s >= 3, in slabs of at most ``_SLAB_CELLS`` (symbol, node)
-        cells.  Each entry depends on its own symbol alone, so a symbol
-        gets the same bits whichever array it arrives in."""
         out = np.empty(len(s))
         step = max(1, _SLAB_CELLS // len(self._gl_nodes))
         for i in range(0, len(s), step):
-            chunk = s[i : i + step, None]
+            chunk = np.maximum(s[i : i + step, None], 3.0)
             vals = self._gl_normalizers * self._base_weight(self._gl_nodes, chunk)
             out[i : i + step] = (vals * self._gl_weights).sum(axis=1)
+        out[s < 3] = 0.0  # symbols 1 and 2 carry no mass
         return out
 
     def validate_target_symbol(self, s: int) -> None:
@@ -523,15 +501,11 @@ class MarginalModel(_ProductModelBase):
 
     def symbol_weight_matrix(self, env, start, length, symbols) -> np.ndarray:
         env.coordinates(start, length)  # keep the window-overflow contract
-        vector = getattr(self.base, "marginal_symbol_weights", None)
-        if vector is not None:
-            row = vector(symbols)
-        else:
-            row = np.array([self.base.marginal_symbol_weight(s) for s in symbols], dtype=float)
+        row = self.base.marginal_symbol_weights(symbols)
         return np.broadcast_to(row, (length, len(row)))
 
-    def marginal_symbol_weight(self, s: int) -> float:
-        return self.base.marginal_symbol_weight(s)
+    def marginal_symbol_weights(self, symbols) -> np.ndarray:
+        return self.base.marginal_symbol_weights(symbols)
 
     def validate_target(self, target) -> tuple[int, ...]:
         return self.base.validate_target(target)

@@ -174,19 +174,25 @@ def exact_count_distribution(
     raises; nothing is ever silently truncated.
     """
     tw = _checked_target(model, target, horizon, r_max)
-    n = len(tw)
+    _dp_cells(model, tw, horizon, r_max, budget_cells)
     if horizon == 0:
         return CountDistribution(
             masses=(1.0,) + (0.0,) * r_max, tail_mass=0.0, provenance="exact-dp"
         )
-    length = horizon + n
-    cells = length * n * model.dp_width(tw) * (r_max + 2)
-    if cells > budget_cells:
-        raise BudgetError(f"exact DP needs {cells} cells, budget is {budget_cells}")
+    length = horizon + len(tw)
     vec = _exact_dp(tw, length, *model.dp_tables(env, tw, length), r_max)
     masses = tuple(float(v) for v in vec[: r_max + 1])
     tail = float(vec[r_max + 1])
     return CountDistribution(masses=masses, tail_mass=max(tail, 0.0), provenance="exact-dp")
+
+
+def _dp_cells(model, tw, horizon: int, r_max: int, budget_cells: int) -> int:
+    """The exact DP's cells, L * n * ``dp_width`` * (r_max + 2) over L =
+    horizon + n positions, or a BudgetError past ``budget_cells``."""
+    cells = (horizon + len(tw)) * len(tw) * model.dp_width(tw) * (r_max + 2)
+    if cells > budget_cells:
+        raise BudgetError(f"exact DP needs {cells} cells, budget is {budget_cells}")
+    return cells
 
 
 def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
@@ -398,17 +404,8 @@ def enumerate_count_distribution(
     """
     tw = _checked_target(model, target, horizon)
     length = horizon + len(tw)
-    if model.tail_mass_bound > 0.0:
-        raise ValueError(
-            f"{type(model).__name__} has no finite full alphabet; exhaustive "
-            "enumeration is not available"
-        )
+    total_words = _enumeration_words(model, length, budget_words)
     alphabet = model.alphabet
-    total_words = len(alphabet) ** length
-    if total_words > budget_words:
-        raise BudgetError(
-            f"enumeration needs {total_words} words, budget is {budget_words}"
-        )
     digits = _all_words(len(alphabet), length)  # (length, total_words)
     if model.depth > 1:
         words = np.asarray(alphabet)[digits]
@@ -425,6 +422,24 @@ def enumerate_count_distribution(
         tail_mass=0.0,
         provenance="enumeration",
     )
+
+
+def _enumeration_words(model, length: int, budget_words: int) -> int:
+    """The words of ``length`` symbols over the model's full alphabet, or a
+    BudgetError past ``budget_words`` (ValueError if the alphabet is not
+    finite).  With two or more symbols any length past the budget's bit
+    length is over it, so the count is formed for short lengths only."""
+    if model.tail_mass_bound > 0.0:
+        raise ValueError(
+            f"{type(model).__name__} has no finite full alphabet; exhaustive "
+            "enumeration is not available"
+        )
+    size = len(model.alphabet)
+    if (size > 1 and length > budget_words.bit_length()) or size ** length > budget_words:
+        raise BudgetError(
+            f"enumeration needs {size}^{length} words, budget is {budget_words}"
+        )
+    return size ** length
 
 
 def _chunk_streams(trials: int, seed, chunk: int):

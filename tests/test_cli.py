@@ -128,13 +128,13 @@ def test_converge_refuses_a_negative_seed_flag(tmp_path, capsys):
     assert not (out / "quenched.csv").exists()
 
 
-def test_out_env_var_override(tmp_path, monkeypatch):
+def test_converge_writes_into_out_whatever_the_environment_says(tmp_path, monkeypatch):
     config = _write_config(tmp_path, CANONICAL_CONFIG)
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv("RECLAB_OUT", str(env_dir))
     assert main(["converge", "--config", str(config), "--out", str(tmp_path / "flag")]) == 0
-    assert (env_dir / "summary.csv").exists()
-    assert not (tmp_path / "flag").exists()
+    assert (tmp_path / "flag" / "summary.csv").exists()
+    assert not env_dir.exists()
 
 
 def test_unknown_config_keys_are_fatal(tmp_path, capsys):
@@ -283,6 +283,34 @@ def test_repeated_engines_and_a_negative_r_max_are_refused_before_any_draw(
     config = _write_config(tmp_path, replace(CANONICAL_CONFIG))
     out = tmp_path / "run"
     assert main(["converge", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert drawn == []
+    assert not (out / "quenched.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "engines, budget, message",
+    [
+        (["exact-dp"], {"cells": 100000},
+         "exact DP needs 19284048 cells, budget is 100000 (engine exact-dp, n=14, horizon=16384)"),
+        (["monte-carlo", "enumeration"], {"words": 1 << 22},
+         ("enumeration needs 2^16398 words, budget is 4194304 "
+          "(engine enumeration, n=14, horizon=16384)")),
+    ],
+    ids=["exact-dp", "enumeration"],
+)
+def test_an_over_budget_run_is_refused_before_any_draw(
+    tmp_path, capsys, monkeypatch, engines, budget, message
+):
+    drawn = []
+    monkeypatch.setattr(reclab.models.TwoElementModel, "draw_environment",
+                        lambda *args: drawn.append(args))
+    doc = json.loads((ROOT / "configs/quenched_two_element.json").read_text())
+    doc["schedule"]["n_list"] = [4, 14]
+    doc["seeds"]["trials"] = 10
+    doc.update(engines=engines, budget=budget)
+    out = tmp_path / "run"
+    assert main(["converge", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert drawn == []
     assert not (out / "quenched.csv").exists()

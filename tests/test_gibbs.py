@@ -43,6 +43,25 @@ def test_depth_one_normalized_coin():
     assert mat[0, 0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "size, potential",
+    [
+        (2, bernoulli_potential([0.3, 0.7])),
+        (3, bernoulli_potential([0.2, 0.3, 0.5])),
+        (3, Potential(1, {(0,): 0.3, (1,): -1.2, (2,): 0.5})),
+        (4, Potential(1, {(0,): 0.0, (1,): 1.0, (2,): -0.4, (3,): 2.5})),
+    ],
+)
+def test_depth_one_chain_tables_are_the_symbol_masses(size, potential):
+    system = GibbsSystem(TransitionMatrix.full(size), potential)
+    assert system.states == ((),)
+    assert system.state_masses.tolist() == [1.0]
+    init, nxt, prob = system.chain_tables()
+    assert init.tolist() == [1.0]
+    assert nxt.tolist() == [[0] * size]
+    assert prob[0].tolist() == [system.cylinder_mass((a,)) for a in range(size)]
+
+
 def test_bernoulli_depth_two_eigendata(coin_system):
     assert coin_system.perron.lam == pytest.approx(1.0, abs=1e-12)
     # conformal weights are the stationary one-symbol masses
@@ -101,7 +120,6 @@ def test_potential_domain_validation(golden):
 def test_normalize_is_idempotent_on_normalized(coin_system):
     norm2 = normalize_potential(
         coin_system.normalized,
-        coin_system.transitions,
         perron_eigendata(build_transfer_matrix(coin_system.normalized, coin_system.transitions)),
     )
     for word, value in coin_system.normalized.values.items():

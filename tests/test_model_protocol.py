@@ -62,8 +62,8 @@ class ToyModel:
         table = np.column_stack([u / 2, (1 - u) / 2, np.full(length, 0.5)])
         return table[:, list(symbols)]
 
-    def marginal_symbol_weight(self, s):
-        return (0.25, 0.25, 0.5)[s]
+    def marginal_symbol_weights(self, symbols):
+        return np.array([0.25, 0.25, 0.5])[list(symbols)]
 
     def dp_width(self, tw):
         return len(self.alphabet)

@@ -87,6 +87,20 @@ def test_marginal_weights(two_elt):
     assert flat.marginal_symbol_weight(0) == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("alpha, beta, driving_p", [(0.3, 0.7, 0.5), (0.3, 0.7, 0.2),
+                                                    (0.1, 0.45, 1 / 3), (0.9, 0.6, 0.77)])
+def test_two_element_marginal_weights_are_the_closed_forms(alpha, beta, driving_p):
+    model = TwoElementModel(alpha, beta, driving_p)
+    p, q = driving_p, 1.0 - driving_p
+    want = [alpha * p + beta * q, (1.0 - alpha) * p + (1.0 - beta) * q, 0.0]
+    vector = model.marginal_symbol_weights([0, 1, 2])
+    assert vector.tolist() == want
+    assert [model.marginal_symbol_weight(s) for s in (0, 1, 2)] == want
+    marginal = MarginalModel(model)
+    assert marginal.marginal_symbol_weights([2, 1, 0]).tolist() == want[::-1]
+    assert [marginal.marginal_symbol_weight(s) for s in (0, 1, 2)] == want
+
+
 def test_theta_closed_form(two_elt):
     assert two_elt.theta(PeriodicPoint(Word((0,)))) == pytest.approx(0.5)
     assert two_elt.theta(PeriodicPoint(Word((0, 1)))) == pytest.approx(0.25)

@@ -265,6 +265,21 @@ def test_enumeration_budget_error():
         enumerate_count_distribution(model, env, "0", 30, budget_words=100)
 
 
+def test_enumeration_budget_refusal_never_forms_the_word_count():
+    from reclab.returns import _enumeration_words
+
+    # 3^(10^8 + 1) has ~48 million digits: forming it would take minutes
+    three = GibbsSystem(TransitionMatrix.full(3), bernoulli_potential([0.2, 0.3, 0.5]))
+    with pytest.raises(BudgetError, match=r"enumeration needs 3\^100000001 words"):
+        enumerate_count_distribution(three, three.draw_environment(1, 0), "0", 10**8)
+    assert _enumeration_words(three, 13, 3**13) == 3**13
+    with pytest.raises(BudgetError):
+        _enumeration_words(three, 14, 3**14 - 1)
+    # one symbol spells one word at any length
+    one = GibbsSystem(TransitionMatrix.full(1), bernoulli_potential([1.0]))
+    assert _enumeration_words(one, 10**8, 1) == 1
+
+
 def test_monte_carlo_is_seed_deterministic():
     model = TwoElementModel(0.3, 0.7, 0.5)
     env = model.draw_environment(12, 0)
