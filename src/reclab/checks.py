@@ -372,7 +372,7 @@ def theta_cluster_estimate(
     if period < 1:
         raise ValueError("period must be >= 1")
     at_period = returns_total = 0
-    for hits, classes in _sampled_classes(model, env, tw, horizon, trials, seed, chunk=2048):
+    for hits, classes in _sampled_classes(model, env, tw, horizon, trials, seed):
         mask = _window_mask(hits, classes, horizon)
         returns_total += int(mask.sum())
         at_period += int((mask[:, period:] & mask[:, :-period]).sum())

@@ -13,7 +13,9 @@ into a shared overflow bucket.
 Horizons always use the *marginal* cylinder mass; the quenched laws vary
 with the environment around it.  Environment and trial streams are derived
 from the master seed by environment index, so environment i and its laws
-are the same whatever the number of environments.
+are the same whatever the number of environments.  An environment-free
+model, whose laws read no coordinate, draws environment i from the plain
+seed i instead: a Gibbs run thus builds no seed sequence at all.
 
 A quenched run is one n-major pass: the environments are drawn once, and
 each (n, engine) runs over all of them.  Models whose fiber measure is the
@@ -240,9 +242,14 @@ def _check_budgets(config: ExperimentConfig, horizons: dict[int, int]) -> None:
 
 
 def _environments(config: ExperimentConfig, window: int) -> list:
-    """The run's environments over ``window`` positions, by environment index."""
+    """The run's environments over ``window`` positions, by environment index;
+    an ``environment_free`` model, which reads no coordinate, is seeded with
+    the plain index, so a Gibbs run never loads ``numpy.random``."""
+    model = config.model
     return [
-        config.model.draw_environment(window, environment_seed(config.master_seed, i))
+        model.draw_environment(
+            window, i if model.environment_free else environment_seed(config.master_seed, i)
+        )
         for i in range(config.environments)
     ]
 
@@ -255,6 +262,8 @@ def run_quenched(config: ExperimentConfig) -> list[QuenchedResult]:
     once, then each (n, engine) runs over the environments, once in all for
     an exact engine on an ``environment_free`` model, else once per
     environment (Monte Carlo with that environment's trial seed).
+    Environment i is drawn from the master seed's child (i, 0), or from the
+    plain seed i when the model is ``environment_free``.
     """
     model = config.model
     horizons = {n: config.horizon(n) for n in config.n_list}

@@ -21,7 +21,8 @@ distribution of this count when z is drawn from a fiber measure:
 * ``monte_carlo_count_distribution`` -- empirical law over sampled words;
   on product fibers each position is drawn straight into its class (which
   distinct target symbol, or none), from the same uniforms and the same
-  partition (``models._cumulative_weights``) as ``sample_words``.
+  partition (``models._cumulative_weights``) as ``sample_words``, each
+  run of ``_STREAM_ROWS`` rows from its own child stream of the seed.
   ``_sampled_classes`` yields class masks in slabs of ``_MC_SLAB_FLOATS``
   uniforms, and ``_window_mask`` marks where the target occurs in them; the
   cluster estimator ``checks.theta_cluster_estimate`` reads them too.
@@ -62,6 +63,9 @@ DEFAULT_R_MAX = 64
 # horizon
 _OPERATOR_SLAB_FLOATS = 1 << 14
 _MC_SLAB_FLOATS = 1 << 16  # uniforms per Monte Carlo slab: with its masks, it stays in L2
+# sampled rows per child stream of a Monte Carlo seed: the stream layout, so
+# it fixes the sampled law of a seed
+_STREAM_ROWS = 4096
 
 
 class BudgetError(RuntimeError):
@@ -442,19 +446,12 @@ def _enumeration_words(model, length: int, budget_words: int) -> int:
     return size ** length
 
 
-def _chunk_streams(trials: int, seed, chunk: int):
-    """(rows, generator) per chunk of at most ``chunk`` of ``trials`` rows: one
-    child stream of ``seed`` per chunk, so the draws do not depend on how the
-    chunks are scheduled."""
+def _chunk_streams(trials: int, seed):
+    """(rows, generator) per chunk of at most ``_STREAM_ROWS`` of ``trials``
+    rows: chunk c reads the c-th child stream of ``seed``."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for c, child in enumerate(seq.spawn((trials + chunk - 1) // chunk)):
-        yield min(chunk, trials - c * chunk), np.random.default_rng(child)
-
-
-def _sampled_words(model, env: Environment, length: int, trials: int, seed, chunk: int):
-    """``trials`` sampled words of ``length`` symbols, one chunk at a time."""
-    for take, rng in _chunk_streams(trials, seed, chunk):
-        yield model.sample_words(env, 0, length, take, rng)
+    for c, child in enumerate(seq.spawn((trials + _STREAM_ROWS - 1) // _STREAM_ROWS)):
+        yield min(_STREAM_ROWS, trials - c * _STREAM_ROWS), np.random.default_rng(child)
 
 
 def _window_mask(hits, classes, horizon: int) -> np.ndarray:
@@ -491,18 +488,18 @@ def monte_carlo_count_distribution(
     trials: int,
     seed,
     r_max: int = DEFAULT_R_MAX,
-    chunk: int = 4096,
 ) -> CountDistribution:
     """Empirical law of the return count over sampled fiber words.
 
-    Sampling is chunked with one child stream per chunk, so results are
-    reproducible for a given seed regardless of scheduling.  A target
-    symbol the sampler can never draw (above a countable model's
-    ``alphabet_cutoff``) is rejected; the exact engine handles it.
+    Row r of the sample reads child stream r // ``_STREAM_ROWS`` of
+    ``seed``, so the law depends on the seed and the trials alone, not on
+    the slab sizes.  A target symbol the sampler can never draw (above a
+    countable model's ``alphabet_cutoff``) is rejected; the exact engine
+    handles it.
     """
-    tw = _checked_sampling(model, target, horizon, trials, r_max, chunk)
+    tw = _checked_sampling(model, target, horizon, trials, r_max)
     hist = np.zeros(r_max + 2, dtype=np.int64)
-    for hits, classes in _sampled_classes(model, env, tw, horizon, trials, seed, chunk):
+    for hits, classes in _sampled_classes(model, env, tw, horizon, trials, seed):
         counts = _window_mask(hits, classes, horizon).sum(axis=1, dtype=np.int64)
         hist += np.bincount(np.minimum(counts, r_max + 1), minlength=r_max + 2)
     masses = tuple(float(h) / trials for h in hist[: r_max + 1])
@@ -510,11 +507,9 @@ def monte_carlo_count_distribution(
     return CountDistribution(masses=masses, tail_mass=tail, provenance="monte-carlo")
 
 
-def _checked_sampling(
-    model, target, horizon: int, trials: int, r_max: int = 0, chunk: int = 1
-) -> tuple[int, ...]:
+def _checked_sampling(model, target, horizon: int, trials: int, r_max: int = 0) -> tuple[int, ...]:
     """``_checked_target`` for the sampling engines, which also need a target
-    the sampler can draw, at least one trial and at least one row per chunk."""
+    the sampler can draw and at least one trial."""
     tw = _checked_target(model, target, horizon, r_max)
     outside = [s for s in tw if s not in model.alphabet]
     if outside:
@@ -522,12 +517,10 @@ def _checked_sampling(
                          f"{model.alphabet}, past the sampling cutoff: sampled words never contain it")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     return tw
 
 
-def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, seed, chunk: int):
+def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, seed):
     """(hits, classes) per slab of rows of ``trials`` samples of
     horizon + len(tw) positions: ``hits[classes[d]]`` is the (rows, length)
     mask of the positions holding the target's d-th symbol, one mask per
@@ -546,15 +539,16 @@ def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, see
     distinct = sorted(set(tw), key=model.alphabet.index)
     classes = [distinct.index(s) for s in tw]
     if model.depth > 1:
-        for words in _sampled_words(model, env, length, trials, seed, chunk):
+        for take, rng in _chunk_streams(trials, seed):
+            words = model.sample_words(env, 0, length, take, rng)
             yield [words == s for s in distinct], classes
         return
     lo, hi = _class_bounds(model, env, distinct, length)
     # rows drawn one slab after another read the generator's stream in order
-    rows = min(max(1, _MC_SLAB_FLOATS // length), chunk, trials)
+    rows = min(max(1, _MC_SLAB_FLOATS // length), _STREAM_ROWS, trials)
     u_buf = np.empty((rows, length))
     hit_buf = np.empty((len(distinct) + 1, rows, length), dtype=bool)
-    for take, rng in _chunk_streams(trials, seed, chunk):
+    for take, rng in _chunk_streams(trials, seed):
         for done in range(0, take, rows):
             m = min(rows, take - done)
             u, hits = u_buf[:m], hit_buf[:, :m]

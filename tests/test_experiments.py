@@ -25,6 +25,7 @@ from reclab import (
     theta_cluster_estimate,
     tv_distance,
 )
+from reclab import experiments
 from reclab.experiments import environment_seed
 
 
@@ -161,6 +162,48 @@ def test_degenerate_model_is_environment_free():
         assert row.distribution.masses == pytest.approx(
             row0.distribution.masses, abs=1e-12
         )
+
+
+def test_gibbs_environments_are_zero_windows_labelled_by_index(monkeypatch):
+    golden = TransitionMatrix([[1, 1], [1, 0]])
+    system = GibbsSystem(golden, Potential.constant(0.0, golden, depth=2))
+    config = ExperimentConfig(
+        system, PeriodicPoint(Word((0,))), (4, 6), 1.0,
+        environments=3, master_seed=9, engines=("exact-dp",),
+    )
+
+    def no_seed_sequence(*args):
+        raise AssertionError("an environment-free run built an environment seed")
+
+    monkeypatch.setattr(experiments, "environment_seed", no_seed_sequence)
+    results = run_quenched(config)
+    assert [res.env_index for res in results] == [0, 1, 2]
+    for i, res in enumerate(results):
+        assert res.environment.source_seed == i
+        assert res.environment.window.shape == (config.window_length(),)
+        assert not res.environment.window.any()
+
+
+def test_marginal_model_rows_are_one_exact_law_over_its_index_seeded_draws(canonical_model):
+    marg = MarginalModel(canonical_model)
+    point = PeriodicPoint(Word((0,)))
+    config = ExperimentConfig(
+        marg, point, (4, 6), 1.0, environments=3, master_seed=9,
+        engines=("exact-dp",), r_max=24,
+    )
+    results = run_quenched(config)
+    window = config.window_length()
+    for i, res in enumerate(results):
+        # the base's coordinates are drawn from the plain index, and never read
+        drawn = canonical_model.draw_environment(window, i)
+        assert res.environment.source_seed == i
+        assert np.array_equal(res.environment.window, drawn.window)
+    env = marg.draw_environment(window, 0)
+    for k, n in enumerate(config.n_list):
+        want = exact_count_distribution(marg, env, point.prefix(n), config.horizon(n), r_max=24)
+        for res in results:
+            assert res.rows[k].n == n
+            assert res.rows[k].distribution == want
 
 
 def test_annealed_needs_two_environments(canonical_model):

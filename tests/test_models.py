@@ -363,18 +363,24 @@ def test_countable_weight_matrix_against_per_coordinate_weights(countable):
             assert mat[i, j] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-def test_vector_marginal_weights_are_the_scalar_ones():
+def test_vector_marginal_weights_are_the_scalar_ones(monkeypatch):
+    model = CountableModel(0.5, alphabet_cutoff=2048)
     symbols = range(3, 2049)
-    vector = CountableModel(0.5, alphabet_cutoff=2048).marginal_symbol_weights(symbols)
-    cold = CountableModel(0.5, alphabet_cutoff=2048)
-    assert vector.tolist() == [cold.marginal_symbol_weight(s) for s in symbols]
-    # past the cutoff the weights are computed afresh, with the same bits
-    small = CountableModel(0.5, alphabet_cutoff=64)
-    large = CountableModel(0.5, alphabet_cutoff=4096)
-    past = small.marginal_symbol_weights([1, 2, 100, 3, 4096, 100])
-    want = [large.marginal_symbol_weight(s) for s in (100, 3, 4096, 100)]
-    assert past.tolist() == [0.0, 0.0] + want
-    row = MarginalModel(cold).symbol_weight_matrix(cold.draw_environment(3, 0), 0, 3, symbols)
+    vector = model.marginal_symbol_weights(symbols)
+    assert vector.tolist() == [model.marginal_symbol_weight(s) for s in symbols]
+    assert model.marginal_symbol_weights([1, 2]).tolist() == [0.0, 0.0]
+    # a symbol gets the same bits at any place of the array, in any slab, at
+    # every repeat, and past the cutoff too
+    by_symbol = dict(zip(symbols, vector.tolist()))
+    by_symbol.update({1: 0.0, 2: 0.0, 4096: model.marginal_symbol_weight(4096),
+                      10**6: model.marginal_symbol_weight(10**6)})
+    mixed = np.random.default_rng(5).permutation(
+        list(range(1, 2049)) + [4096, 10**6] * 3 + [100] * 5
+    ).tolist()
+    assert model.marginal_symbol_weights(mixed).tolist() == [by_symbol[s] for s in mixed]
+    monkeypatch.setattr("reclab.models._SLAB_CELLS", 7 * 64)  # slabs of 7 symbols
+    assert model.marginal_symbol_weights(mixed).tolist() == [by_symbol[s] for s in mixed]
+    row = MarginalModel(model).symbol_weight_matrix(model.draw_environment(3, 0), 0, 3, symbols)
     assert np.array_equal(row, np.tile(vector, (3, 1)))
 
 

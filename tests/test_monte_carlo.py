@@ -28,7 +28,7 @@ from reclab import (
     theta_cluster_estimate,
 )
 from reclab import returns
-from reclab.returns import _sampled_words, _window_counts
+from reclab.returns import _window_counts
 
 TWO = TwoElementModel(0.3, 0.7, 0.5)
 COUNTABLE = CountableModel(0.5, alphabet_cutoff=64)
@@ -52,7 +52,7 @@ GIBBS_CASES = [
     for name, model in (("golden-mean", GOLDEN_MEAN), ("depth-three", DEPTH_THREE))
     for target in [(0, 1), (0, 1, 0)]
 ]
-HORIZON, TRIALS, CHUNK, R_MAX = 300, 3_000, 1_024, 12
+HORIZON, TRIALS, R_MAX = 300, 3_000, 12
 
 
 def _window_matches(words, target, horizon: int):
@@ -66,20 +66,25 @@ def _window_matches(words, target, horizon: int):
         yield match
 
 
+def _sampled_words(model, env, length: int, trials: int, seed):
+    """``sample_words``' words over Monte Carlo's streams, one child stream of
+    ``seed`` (``returns._STREAM_ROWS`` rows) at a time."""
+    for take, rng in returns._chunk_streams(trials, seed):
+        yield model.sample_words(env, 0, length, take, rng)
+
+
 def _law_of_sampled_words(model, env, target, seed):
     """The law over ``sample_words``' words, counted by the window masks."""
     hist = np.zeros(R_MAX + 2, dtype=np.int64)
     length = HORIZON + len(target)
-    for words in _sampled_words(model, env, length, TRIALS, seed, CHUNK):
+    for words in _sampled_words(model, env, length, TRIALS, seed):
         counts = sum(_window_matches(words, target, HORIZON))
         np.add.at(hist, np.minimum(counts, R_MAX + 1), 1)
     return tuple(float(h) / TRIALS for h in hist[: R_MAX + 1]), float(hist[-1]) / TRIALS
 
 
 def _monte_carlo(model, env, target, seed):
-    return monte_carlo_count_distribution(
-        model, env, target, HORIZON, TRIALS, seed, r_max=R_MAX, chunk=CHUNK
-    )
+    return monte_carlo_count_distribution(model, env, target, HORIZON, TRIALS, seed, r_max=R_MAX)
 
 
 @pytest.mark.parametrize("model, target", CASES + GIBBS_CASES)
@@ -99,7 +104,7 @@ def test_slab_size_does_not_change_the_law(monkeypatch, model, target):
     assert _monte_carlo(model, env, target, seed=2) == law
     monkeypatch.setattr(returns, "_MC_SLAB_FLOATS", 1)
     assert _monte_carlo(model, env, target, seed=2) == law
-    # 2**20 uniforms: every row of a chunk in one slab
+    # 2**20 uniforms: every row of the stream in one slab
     monkeypatch.setattr(returns, "_MC_SLAB_FLOATS", 1 << 20)
     assert _monte_carlo(model, env, target, seed=2) == law
 
@@ -114,24 +119,17 @@ def test_slab_size_does_not_change_the_law(monkeypatch, model, target):
     ],
 )
 def test_theta_cluster_estimate_reads_the_window_matches(model, target, period):
-    trials, seed = 5_000, 11  # three chunks of the estimator's 2,048 rows
+    trials, seed = 5_000, 11  # two child streams: 4,096 rows, then 904
     length = HORIZON + len(target)
     env = model.draw_environment(length, 8)
     est = theta_cluster_estimate(model, env, target, period, HORIZON, trials, seed)
     at_period = returns_total = 0
-    for words in _sampled_words(model, env, length, trials, seed, chunk=2048):
+    for words in _sampled_words(model, env, length, trials, seed):
         match = np.stack(list(_window_matches(words, target, HORIZON)), axis=1)
         returns_total += int(match.sum())
         at_period += int((match[:, period:] & match[:, :-period]).sum())
     assert at_period > 0
     assert est == at_period / returns_total
-
-
-@pytest.mark.parametrize("chunk", [0, -5])
-def test_monte_carlo_refuses_a_chunk_below_one(chunk):
-    env = TWO.draw_environment(20, 0)
-    with pytest.raises(ValueError, match=f"chunk must be >= 1, got {chunk}"):
-        monte_carlo_count_distribution(TWO, env, (0,), 10, 10, seed=0, chunk=chunk)
 
 
 @pytest.mark.parametrize("model, target", CASES)

@@ -2,7 +2,8 @@
 
 ``import reclab.cli`` and ``load_config`` load only what the config's model
 needs: neither the Gibbs numerics on a product config nor the self-check
-module on any.  The top-level names are lazy and are the ones the package
+module on any; ``reclab converge`` loads ``numpy.random`` only for a model
+whose environments are random draws.  The top-level names are lazy and are the ones the package
 has always exported.
 """
 
@@ -33,15 +34,20 @@ EXPORTS = [
 ]
 
 
-def _reclab_modules(code: str, *args: str) -> set[str]:
-    """The reclab modules a fresh interpreter holds after running ``code``."""
-    report = "; import sys; print(*(m for m in sys.modules if m.startswith('reclab')))"
+def _loaded_modules(code: str, *args: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    report = "; import sys; print(*sys.modules)"
     run = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}{report}",
          *args],
         capture_output=True, text=True, check=True,
     )
     return set(run.stdout.split())
+
+
+def _reclab_modules(code: str, *args: str) -> set[str]:
+    """The reclab modules a fresh interpreter holds after running ``code``."""
+    return {m for m in _loaded_modules(code, *args) if m.startswith("reclab")}
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -62,6 +68,20 @@ def test_load_config_loads_only_what_the_model_needs(config, gibbs):
     assert {"reclab.cli", "reclab.experiments", "reclab.models"} <= loaded
     assert ("reclab.gibbs" in loaded) == gibbs
     assert "reclab.checks" not in loaded
+
+
+@pytest.mark.parametrize(
+    "config, random",
+    [("configs/golden_mean.json", False), ("bench/configs/countable_mc.json", True)],
+)
+def test_converge_loads_numpy_random_only_to_draw_environments(tmp_path, config, random):
+    # a Gibbs system is environment-free: its zero windows need no seed sequence
+    loaded = _loaded_modules(
+        "import reclab.cli; assert reclab.cli.main(sys.argv[1:]) == 0",
+        "converge", "--config", str(ROOT / config), "--out", str(tmp_path),
+    )
+    assert "reclab.experiments" in loaded
+    assert ("numpy.random" in loaded) == random
 
 
 def test_top_level_names_are_the_exported_ones_and_resolve():
