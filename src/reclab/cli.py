@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import time
@@ -33,6 +32,16 @@ from .models import CountableModel, TwoElementModel
 from .polya_aeppli import PolyaAeppliParams
 from .returns import BudgetError
 from .symbolic import PeriodicPoint, TransitionMatrix, as_word
+
+# Manifest digests come from the interpreter's own SHA-256: ``hashlib`` loads
+# OpenSSL's libcrypto, a few MB of resident memory, for the same digest.
+try:
+    from _sha2 import sha256 as _builtin_sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _builtin_sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256 as _builtin_sha256
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -165,7 +174,7 @@ def _out_dir(args) -> Path:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _builtin_sha256(path.read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,10 @@ def _reachable(adjacency, start):
     return np.flatnonzero(seen)
 
 
-# The block operator holds states**2 * bins floats; above this the plain
-# loop runs instead, so memory stays that of the (state, count) table.
+# The block path holds the power, states**2 * bins floats, and each block
+# applies it to a lagged table of bins**2 * states floats; when the larger
+# of the two passes this the plain loop runs instead, whose memory is that of
+# the (state, count) table.
 _BLOCK_FLOATS_MAX = 1 << 20
 
 
@@ -347,11 +349,12 @@ def _counting_steps(keep_op, emit_op, dist, steps):
     loop's rounding (repeated squaring would double the rounding error with
     each squaring).  A block costs about bins/2 plain steps of arithmetic
     in one call, so B ~ sqrt(steps * bins / states) balances building
-    against applying; short runs and large state spaces stay on the loop.
+    against applying; short runs, and runs whose power or lagged table
+    would pass ``_BLOCK_FLOATS_MAX``, stay on the loop.
     """
     states, bins = dist.shape
     block = max(1, round(math.sqrt(steps * bins / states)))
-    if steps >= 4 * block and states * states * bins <= _BLOCK_FLOATS_MAX:
+    if steps >= 4 * block and states * bins * max(states, bins) <= _BLOCK_FLOATS_MAX:
         power = _block_operator(keep_op, emit_op, bins, block)
         for _ in range(steps // block):
             dist = _apply_block(power, dist)
@@ -368,14 +371,30 @@ def _block_operator(keep_op, emit_op, bins, block):
     Entry [t, d * states + j] is the mass carried from state j to state t
     while the count rises by d (by at least d in the top bin d = bins - 1).
     Each basis table, all mass on state j with count 0, takes the plain
-    step ``block`` times.
+    step ``block`` times, with the same bits as ``_count_step``: the kept
+    part is the same stacked product, written into a reused buffer, and the
+    emitting part is added one nonzero entry of ``emit_op`` at a time, a
+    shifted column scaled by the entry.  Where an emit row has one entry the
+    product's sum is that one rounded product plus exact zeros, so the bits
+    agree; that holds for product measures and for Gibbs targets at least as
+    long as the potential's depth.  Rows with several entries (depth > n)
+    add their products one by one, which rounds differently.
     """
     states = keep_op.shape[0]
     tables = np.zeros((states, states, bins))
     tables[np.arange(states), np.arange(states), 0] = 1.0
-    shifted = np.empty_like(tables)
+    out = np.empty_like(tables)
+    shifted = np.empty((states, bins))
+    emits = [(t, k, emit_op[t, k]) for t, k in zip(*np.nonzero(emit_op))]
     for _ in range(block):
-        tables = _count_step(keep_op, emit_op, tables, shifted)
+        np.matmul(keep_op, tables, out=out)
+        for t, k, weight in emits:
+            shifted[:, 0] = 0.0
+            shifted[:, 1:] = tables[:, k, :-1]
+            shifted[:, -1] += tables[:, k, -1]
+            shifted *= weight
+            out[:, t] += shifted
+        tables, out = out, tables
     return np.ascontiguousarray(tables.transpose(1, 2, 0)).reshape(states, bins * states)
 
 
