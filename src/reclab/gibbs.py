@@ -47,11 +47,6 @@ __all__ = [
     "bernoulli_potential",
 ]
 
-_DENSE_EIG_MAX = 64
-_POWER_ITER_CAP = 1_000_000
-_RESIDUAL_TARGET = 1e-12
-
-
 class Potential:
     """A depth-k potential: a value for each admissible k-word."""
 
@@ -120,7 +115,8 @@ def lift_potential(potential: Potential, transitions: TransitionMatrix) -> Poten
 
 def build_transfer_matrix(potential: Potential, transitions: TransitionMatrix) -> np.ndarray:
     """Weighted transfer matrix over the admissible (depth-1)-word states,
-    in ``transitions.admissible_tuples`` order.
+    in ``transitions.admissible_tuples`` order.  Every value's weight
+    exp(value) must be a positive finite float.
 
     A depth-1 potential reduces to the empty-word state only on a full
     shift; on a constrained shift the preimage sum depends on the first
@@ -151,17 +147,24 @@ def build_transfer_matrix(potential: Potential, transitions: TransitionMatrix) -
     index = {s: i for i, s in enumerate(states)}
     mat = np.zeros((len(states), len(states)))
     for word, value in potential.values.items():
-        u = word[:-1]
-        w = word[1:]
-        mat[index[u], index[w]] += math.exp(value)
+        try:
+            weight = math.exp(value)
+        except OverflowError:
+            weight = math.inf
+        if not 0.0 < weight < math.inf:
+            raise ValueError(
+                f"potential value {value!r} at word {word} has weight exp(value) = "
+                f"{weight!r}; it must be a positive finite float"
+            )
+        mat[index[word[:-1]], index[word[1:]]] += weight
     return mat
 
 
 def perron_eigendata(matrix, states=None) -> PerronData:
     """Leading eigenvalue and positive left/right eigenvectors.
 
-    Dense solve for sizes up to 64, two-sided power iteration beyond; the
-    relative residual is driven to 1e-12 and verified to at least 1e-10.
+    One dense eigensolve of the matrix and of its transpose; the relative
+    residual of both eigenvectors is checked to 1e-10 (NaN fails the check).
     ``states`` name the rows, (i,) by default; ``normalize_potential`` reads
     them, so a ``build_transfer_matrix`` result takes its states along.
     """
@@ -178,23 +181,17 @@ def perron_eigendata(matrix, states=None) -> PerronData:
             f"{mat.shape[0] ** 2}); Perron data is not well defined"
         )
 
-    size = mat.shape[0]
-    if size <= _DENSE_EIG_MAX:
-        lam, nu = _dense_leading(mat)
-        lam2, h = _dense_leading(mat.T)
-        lam = 0.5 * (lam + lam2)
-    else:
-        lam, nu = _power_leading(mat)
-        _, h = _power_leading(mat.T)
-
+    lam, nu = _dense_leading(mat)
+    lam2, h = _dense_leading(mat.T)
+    lam = 0.5 * (lam + lam2)
     nu = nu / nu.sum()
     h = h / float(nu @ h)
     residual = max(
         float(np.max(np.abs(mat @ nu - lam * nu))) / (lam * float(np.max(nu))),
         float(np.max(np.abs(h @ mat - lam * h))) / (lam * float(np.max(h))),
     )
-    if residual > 1e-10:
-        raise RuntimeError(
+    if not residual <= 1e-10:
+        raise ValueError(
             f"Perron eigendata did not reach the required residual: {residual:.3e}"
         )
     return PerronData(lam=lam, h=h, nu=nu, states=tuple(states), residual=residual)
@@ -206,31 +203,7 @@ def _dense_leading(mat: np.ndarray) -> tuple[float, np.ndarray]:
     lam = float(eigvals[i].real)
     v = vecs[:, i]
     v = v / v[int(np.argmax(np.abs(v)))]
-    v = v.real
-    if v.min() < 0:
-        if v.max() <= 0:
-            v = -v
-        else:
-            v = np.abs(v)
-    return lam, v
-
-
-def _power_leading(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    size = mat.shape[0]
-    v = np.full(size, 1.0 / size)
-    lam = 1.0
-    for _ in range(_POWER_ITER_CAP):
-        nv = mat @ v
-        lam = float(nv.sum())
-        nv /= lam
-        resid = float(np.max(np.abs(mat @ nv - lam * nv))) / (lam * float(np.max(nv)))
-        v = nv
-        if resid < _RESIDUAL_TARGET:
-            return lam, v
-    raise RuntimeError(
-        f"power iteration failed to converge within {_POWER_ITER_CAP} steps; "
-        f"last residual {resid:.3e}"
-    )
+    return lam, np.abs(v.real)
 
 
 def normalize_potential(potential: Potential, perron: PerronData) -> Potential:
@@ -278,8 +251,8 @@ class GibbsSystem:
         self.state_masses = self.state_masses / self.state_masses.sum()
         norm_matrix = build_transfer_matrix(self.normalized, transitions)
         col_defect = float(np.max(np.abs(norm_matrix.sum(axis=0) - 1.0)))
-        if col_defect > 1e-10:
-            raise RuntimeError(
+        if not col_defect <= 1e-10:
+            raise ValueError(
                 f"normalised operator defect {col_defect:.3e} exceeds 1e-10"
             )
         self._norm_values = {
@@ -356,19 +329,16 @@ class GibbsSystem:
         """
         size = self.transitions.size
         n_states = len(self.states)
-        nxt = np.full((n_states, size), -1, dtype=np.int64)
+        nxt = np.zeros((n_states, size), dtype=np.int64)
         prob = np.zeros((n_states, size))
         for i, s in enumerate(self.states):
             for a in range(size):
                 word = s + (a,)
                 if not self.transitions.word_is_admissible(word):
                     continue
-                j = self.state_index.get(word[1:])
-                if j is None:
-                    continue
+                j = self.state_index[word[1:]]
                 nxt[i, a] = j
                 prob[i, a] = self._norm_values[word] * self.state_masses[j] / self.state_masses[i]
-        nxt[nxt < 0] = 0  # dead transitions keep probability 0
         return self.state_masses.copy(), nxt, prob
 
     def sample_words(self, env, start, length, trials, rng) -> np.ndarray:

@@ -145,12 +145,12 @@ class PeriodicPoint:
         g = as_word(self.generator)
         object.__setattr__(self, "generator", g)
         m = len(g)
-        for d in range(1, m):
-            if m % d == 0 and g.symbols == g.symbols[:d] * (m // d):
-                raise ValueError(
-                    f"generator {g.to_text()!r} has minimal period {d} < {m}; "
-                    f"pass the minimal generator"
-                )
+        d = minimal_period(g)
+        if d < m and m % d == 0:
+            raise ValueError(
+                f"generator {g.to_text()!r} has minimal period {d} < {m}; "
+                f"pass the minimal generator"
+            )
 
     @property
     def period(self) -> int:

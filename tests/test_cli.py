@@ -10,6 +10,9 @@ import reclab.cli
 import reclab.models
 import reclab.polya_aeppli
 import reclab.returns
+from reclab import (
+    GibbsSystem, PeriodicPoint, Potential, TransitionMatrix, as_word, bernoulli_potential,
+)
 from reclab.cli import ConfigError, load_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -234,6 +237,10 @@ GOLDEN_MEAN_MODEL = {"kind": "gibbs", "transitions": [[1, 1], [1, 0]],
                      "potential": {"depth": 2, "constant": 0.0}}
 
 
+def _golden_mean_potential(potential):
+    return {**GOLDEN_MEAN_MODEL, "potential": potential}
+
+
 @pytest.mark.parametrize(
     "replace, message",
     [
@@ -250,9 +257,31 @@ GOLDEN_MEAN_MODEL = {"kind": "gibbs", "transitions": [[1, 1], [1, 0]],
          "countable model symbols start at 3"),
         (lambda doc: {**doc, "model": GOLDEN_MEAN_MODEL, "point": {"generator": "1"}},
          "periodic orbit '1' is not admissible"),
+        (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": 1000})},
+         "potential value 1000.0 at word (0, 0) has weight exp(value) = inf"),
+        (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": 709})},
+         "Perron eigendata did not reach the required residual: nan"),
+        (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": -744})},
+         "Perron eigendata did not reach the required residual"),
+        (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": math.nan})},
+         "potential value nan at word (0, 0) has weight exp(value) = nan"),
+        (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": math.inf})},
+         "potential value inf at word (0, 0) has weight exp(value) = inf"),
+        (lambda doc: {**doc, "model": _golden_mean_potential({"constant": 0.0})},
+         "model.potential needs a depth"),
+        (lambda doc: {**doc, "model": _golden_mean_potential(
+            {"values": {"00": 0.0, "01": 0.0, "10": 0.0}})},
+         "model.potential needs a depth"),
+        (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2})},
+         "model.potential needs values, constant, or bernoulli"),
+        (lambda doc: {**doc, "model": _golden_mean_potential(
+            {"bernoulli": {"0": 0.3, "1": 0.7}})},
+         "model.potential.bernoulli must be a list"),
     ],
     ids=["transitions-257", "transitions-half", "generator-bool", "two-element-symbol-5",
-         "countable-symbol-2", "golden-mean-orbit-1"],
+         "countable-symbol-2", "golden-mean-orbit-1", "constant-1000", "constant-709",
+         "constant-minus-744", "constant-nan", "constant-infinity", "constant-without-depth",
+         "values-without-depth", "no-values", "bernoulli-not-list"],
 )
 def test_config_values_the_model_cannot_carry_are_fatal(tmp_path, capsys, replace, message):
     config = _write_config(tmp_path, replace(CANONICAL_CONFIG))
@@ -262,6 +291,34 @@ def test_config_values_the_model_cannot_carry_are_fatal(tmp_path, capsys, replac
     assert main(["converge", "--config", str(config), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not (out / "quenched.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "transitions, potential, library, generator",
+    [
+        ([[1, 1], [1, 0]], {"depth": 2, "values": {"00": 0.0, "01": 0.0, "10": 0.0}},
+         lambda tm: Potential.constant(0.0, tm, 2), "01"),
+        ([[1, 1], [1, 0]], {"depth": 2, "values": {"0,0": 0.1, "0,1": -0.4, "1,0": 0.25}},
+         lambda tm: Potential(2, {(0, 0): 0.1, (0, 1): -0.4, (1, 0): 0.25}), "01"),
+        ([[1, 1], [1, 1]], {"bernoulli": [0.3, 0.7]},
+         lambda tm: bernoulli_potential([0.3, 0.7]), "1"),
+        ([[1, 1], [1, 1]], {"depth": 3, "bernoulli": [0.3, 0.7]},
+         lambda tm: bernoulli_potential([0.3, 0.7], 3), "0"),
+    ],
+    ids=["values-zero", "values-comma-keys", "bernoulli", "bernoulli-depth-3"],
+)
+def test_config_potential_forms_build_the_library_system(
+    tmp_path, transitions, potential, library, generator
+):
+    doc = {**CANONICAL_CONFIG, "point": {"generator": generator},
+           "model": {"kind": "gibbs", "transitions": transitions, "potential": potential}}
+    model = load_config(_write_config(tmp_path, doc)).model
+    tm = TransitionMatrix(transitions)
+    expected = GibbsSystem(tm, library(tm))
+    point = PeriodicPoint(as_word(generator))
+    assert model.theta(point) == expected.theta(point)
+    for word in ["0", "01", "10", "001", "0100", "00101"]:
+        assert model.cylinder_mass(word) == expected.cylinder_mass(word)
 
 
 @pytest.mark.parametrize(

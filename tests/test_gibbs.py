@@ -83,6 +83,7 @@ def test_perron_on_plain_matrices():
     assert doubly.h == pytest.approx(np.array([1.0, 1.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_perron_rejects_bad_matrices():
     with pytest.raises(ValueError):
         perron_eigendata(np.array([[1.0, -0.1], [1.0, 0.0]]))
@@ -90,6 +91,9 @@ def test_perron_rejects_bad_matrices():
         perron_eigendata(np.eye(2))  # reducible
     with pytest.raises(ValueError):
         perron_eigendata(np.array([[0.0, 1.0], [1.0, 0.0]]))  # periodic
+    # lam overflows to inf and the residual is NaN, which must not pass the check
+    with pytest.raises(ValueError, match="did not reach the required residual: nan"):
+        perron_eigendata(np.array([[1e308, 1e308], [1e308, 0.0]]))
 
 
 def test_power_iteration_path():
@@ -99,6 +103,21 @@ def test_power_iteration_path():
     dense = np.linalg.eigvals(mat)
     assert data.lam == pytest.approx(float(np.max(dense.real)), rel=1e-9)
     assert data.residual <= 1e-10
+
+
+def test_a_128_state_system_is_the_product_measure():
+    system = GibbsSystem(TransitionMatrix.full(2), bernoulli_potential([0.3, 0.7], depth=8))
+    assert len(system.states) == 128
+    assert system.perron.lam == pytest.approx(1.0, abs=1e-12)
+    for word in [(0,), (1, 0, 1), (0, 0, 1, 1, 1, 0, 1), (1,) * 8, (0, 1) * 6]:
+        product = math.prod(0.7 if a else 0.3 for a in word)
+        assert system.cylinder_mass(word) == pytest.approx(product, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [1000.0, -746.0, math.inf, -math.inf, math.nan])
+def test_build_refuses_weights_that_are_not_positive_finite_floats(golden, value):
+    with pytest.raises(ValueError, match=r"at word \(0, 0\) has weight exp\(value\)"):
+        build_transfer_matrix(Potential.constant(value, golden, depth=2), golden)
 
 
 def test_build_rejects_non_mixing():
