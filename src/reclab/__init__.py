@@ -30,8 +30,8 @@ _EXPORTS = {
     "polya_aeppli": ("CountDistribution", "PolyaAeppliParams", "pa_binomial_moment",
                      "pa_mean_variance", "pa_pgf", "pa_pmf", "pa_pmf_table", "pa_sample_many"),
     "returns": ("BudgetError", "count_returns", "enumerate_count_distribution",
-                "exact_count_distribution", "expected_return_count",
-                "monte_carlo_count_distribution", "observation_time"),
+                "exact_count_distribution", "expected_return_count", "observation_time"),
+    "sampling": ("monte_carlo_count_distribution",),
     "symbolic": ("PeriodicPoint", "TransitionMatrix", "Word", "as_word", "minimal_period",
                  "self_overlaps"),
 }

@@ -31,14 +31,15 @@ import numpy as np
 from . import models as models_mod
 from . import polya_aeppli as pa_mod
 from . import returns as returns_mod
+from . import sampling as sampling_mod
 from .experiments import ExperimentConfig, _environments
 from .gibbs import GibbsSystem, Potential, bernoulli_potential
 from .models import Environment, MarginalModel, TwoElementModel, ratio_convergence
 from .polya_aeppli import PolyaAeppliParams
 from .returns import (
-    BudgetError, _checked_sampling, _checked_target, _placement_suffix, _sampled_classes,
-    _window_mask, expected_return_count,
+    BudgetError, _checked_target, _placement_suffix, _window_mask, expected_return_count,
 )
+from .sampling import _checked_sampling, _sampled_classes
 from .symbolic import PeriodicPoint, TransitionMatrix, Word, as_word, self_overlaps
 
 __all__ = [
@@ -461,7 +462,7 @@ def _mc_vs_dp_in_se(trials: int = 20_000) -> float:
     """Worst |MC - DP| mass, less 1e-9 of slack, in Monte Carlo standard errors."""
     devs = []
     for model, env, target, horizon, dp in _oracle_cases():
-        mc = returns_mod.monte_carlo_count_distribution(
+        mc = sampling_mod.monte_carlo_count_distribution(
             model, env, target, horizon, trials, seed=5, r_max=horizon
         ).masses
         for r in range(horizon + 1):

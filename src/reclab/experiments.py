@@ -18,12 +18,14 @@ model, whose laws read no coordinate, draws environment i from the plain
 seed i instead: a Gibbs run thus builds no seed sequence at all.
 
 A quenched run is one n-major pass: the environments are drawn once, and
-each (n, engine) runs over all of them.  Models whose fiber measure is the
-same on every environment (``environment_free``, e.g. Gibbs systems) get
-their exact laws computed once per (n, engine) and shared by all
-environments; the limit-law table is built once per r_max.  The checks of
-the paper's other claims over these configs (the overlap-count law, the
-cluster estimate) live in ``reclab.checks``.
+each (n, engine) runs over all of them.  The exact DP takes them along an
+environment axis, in one ``exact_count_distributions`` call per n; Monte
+Carlo and enumeration run one environment after another.  Models whose
+fiber measure is the same on every environment (``environment_free``,
+e.g. Gibbs systems) get their exact laws computed once per (n, engine) and
+shared by all environments; the limit-law table is built once per r_max.
+The checks of the paper's other claims over these configs (the
+overlap-count law, the cluster estimate) live in ``reclab.checks``.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ from .returns import (
     _enumeration_words,
     enumerate_count_distribution,
     exact_count_distribution,
-    monte_carlo_count_distribution,
+    exact_count_distributions,
     observation_time,
 )
+from .sampling import monte_carlo_count_distribution
 from .symbolic import PeriodicPoint
 
 __all__ = [
@@ -259,9 +262,10 @@ def run_quenched(config: ExperimentConfig) -> list[QuenchedResult]:
 
     One n-major pass over environments drawn once, after each n's horizon
     passed the exact engines' budgets: theta and each n's target are computed
-    once, then each (n, engine) runs over the environments, once in all for
-    an exact engine on an ``environment_free`` model, else once per
-    environment (Monte Carlo with that environment's trial seed).
+    once, then each (n, engine) runs over the environments: once in all for
+    an exact engine on an ``environment_free`` model, as one stacked DP over
+    all of them for the exact DP on any other, else once per environment
+    (Monte Carlo with that environment's trial seed).
     Environment i is drawn from the master seed's child (i, 0), or from the
     plain seed i when the model is ``environment_free``.
     """
@@ -278,6 +282,9 @@ def run_quenched(config: ExperimentConfig) -> list[QuenchedResult]:
         for engine in config.engines:
             if model.environment_free and engine != "monte-carlo":
                 dists = [_run_engine(config, envs[0], engine, target, horizon, 0)] * len(envs)
+            elif engine == "exact-dp":
+                dists = exact_count_distributions(model, envs, target, horizon, config.r_max,
+                                                  config.budget_cells)
             else:
                 dists = [_run_engine(config, env, engine, target, horizon, i)
                          for i, env in enumerate(envs)]

@@ -365,10 +365,10 @@ class GibbsSystem:
     def dp_width(self, tw) -> int:
         return len(self.states) * self.transitions.size
 
-    def dp_tables(self, env, tw, length: int):
+    def dp_tables(self, env, tw, length: int, start: int = 0):
         """The (k-1)-step chain as the exact DP's tables: one weight table for
-        every position."""
-        del env, tw  # the measure does not depend on the environment
+        every position, from any ``start`` on."""
+        del env, tw, start  # the measure does not depend on the environment
         if length < self.depth - 1:
             raise ValueError(
                 f"word length {length} shorter than the chain memory {self.depth - 1}; "

@@ -35,8 +35,9 @@ Every model (``reclab.gibbs.GibbsSystem`` too) serves the engines through
 one protocol: ``validate_target``, ``alphabet`` (what ``sample_words``
 draws, complete when ``tail_mass_bound`` is 0.0), ``depth`` (1 for product
 fibers), ``environment_free``, ``dp_width`` (read before any table is
-built) and ``dp_tables`` for the exact DP and ``checks.check_psi_mixing``'s
-joint masses, ``symbol_weight_matrix``, ``fiber_cylinder_mass``,
+built) and ``dp_tables`` for the exact DP (from a start position when it
+steps several environments) and ``checks.check_psi_mixing``'s joint
+masses, ``symbol_weight_matrix``, ``fiber_cylinder_mass``,
 ``marginal_cylinder_mass``, ``sample_words``, ``draw_environment`` and
 ``theta_report`` (the lines of ``reclab theta``).  A product model also
 answers ``marginal_symbol_weights(symbols)``, which ``MarginalModel`` reads;
@@ -210,10 +211,11 @@ class _ProductModelBase:
         # the distinct target symbols plus the lumped "everything else" symbol
         return len(set(tw)) + 1
 
-    def dp_tables(self, env: Environment, tw, length: int):
-        """A product measure as a one-state chain whose weights vary by position."""
+    def dp_tables(self, env: Environment, tw, length: int, start: int = 0):
+        """A product measure as a one-state chain whose weights vary by
+        position; the tables are those of positions start..length-1."""
         distinct = tuple(dict.fromkeys(tw))
-        weights = self.symbol_weight_matrix(env, 0, length, distinct)
+        weights = self.symbol_weight_matrix(env, start, length - start, distinct)
         other = np.clip(1.0 - weights.sum(axis=1), 0.0, 1.0)
         rows = np.column_stack([weights, other])
         # the lumped symbol matches nothing in the target

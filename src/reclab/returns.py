@@ -5,7 +5,8 @@ Given a target cylinder word of length n and a horizon N, the return count
 of a sequence z is the number of positions j in [1, N] at which the window
 z_j..z_{j+n-1} equals the target (position 0 is deliberately excluded:
 counts are returns, not an initial hit).  Three engines produce the
-distribution of this count when z is drawn from a fiber measure:
+distribution of this count when z is drawn from a fiber measure; two live
+here, the third, Monte Carlo, in ``reclab.sampling``:
 
 * ``exact_count_distribution`` -- exact forward dynamic programming over
   ((chain state, automaton state), clamped count); the automaton is the
@@ -15,27 +16,23 @@ distribution of this count when z is drawn from a fiber measure:
   table keeps only the joint states reachable from the start; from the
   last change of the weights on, the counting steps share one operator,
   so long stationary runs go in blocks of B steps through a B-step
-  operator built once from the plain step.
+  operator built once from the plain step.  The core has an environment
+  axis: ``exact_count_distributions`` steps the (state, count) tables of
+  several environments as one stack, each environment with the arithmetic
+  of its own run, and ``exact_count_distribution`` is its one-environment
+  case.
 * ``enumerate_count_distribution`` -- brute force over every word of the
   full length; only feasible at desk scale, kept as an independent oracle.
-* ``monte_carlo_count_distribution`` -- empirical law over sampled words;
-  on product fibers each position is drawn straight into its class (which
-  distinct target symbol, or none), from the same uniforms and the same
-  partition (``models._cumulative_weights``) as ``sample_words``, each
-  run of ``_STREAM_ROWS`` rows from its own child stream of the seed.
-  ``_sampled_classes`` yields class masks in slabs of ``_MC_SLAB_FLOATS``
-  uniforms, and ``_window_mask`` marks where the target occurs in them; the
-  cluster estimator ``checks.theta_cluster_estimate`` reads them too.
 
 Each engine checks the target with the model's ``validate_target`` and
 reads only the protocol listed in ``reclab.models``: the DP ``dp_width``
-and ``dp_tables`` (whose chain ``checks.check_psi_mixing`` reads too);
-enumeration a complete ``alphabet``, ``depth`` and ``symbol_weight_matrix``,
-or ``fiber_cylinder_mass`` per word when ``depth`` > 1; Monte Carlo
-``alphabet``, then ``symbol_weight_matrix`` and ``tail_mass_bound`` at
-depth 1, ``sample_words`` at depth > 1.  ``expected_return_count``, the
-exact mean, reads the per-offset placement masses of ``_placement_suffix``,
-as the moment layer in ``reclab.checks`` does.
+and ``dp_tables`` (whose chain ``checks.check_psi_mixing`` reads too; over
+several environments the DP reads each one's tables from a start position,
+a chunk at a time); enumeration a complete ``alphabet``, ``depth`` and
+``symbol_weight_matrix``, or ``fiber_cylinder_mass`` per word when
+``depth`` > 1.  ``expected_return_count``, the exact mean, reads the
+per-offset placement masses of ``_placement_suffix``, as the moment layer
+in ``reclab.checks`` does.
 """
 
 from __future__ import annotations
@@ -45,14 +42,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import _SLAB_CELLS, Environment, _cumulative_weights
+from .models import Environment
 from .polya_aeppli import CountDistribution
 from .symbolic import _border_array, as_word
 
 __all__ = [
     "BudgetError", "CountDistribution", "count_returns", "observation_time",
-    "exact_count_distribution", "enumerate_count_distribution",
-    "monte_carlo_count_distribution", "expected_return_count",
+    "exact_count_distribution", "exact_count_distributions", "enumerate_count_distribution",
+    "expected_return_count",
 ]
 
 DEFAULT_BUDGET_CELLS = 1_000_000_000
@@ -62,10 +59,6 @@ DEFAULT_R_MAX = 64
 # positions this small stays in cache, and memory does not grow with the
 # horizon
 _OPERATOR_SLAB_FLOATS = 1 << 14
-_MC_SLAB_FLOATS = 1 << 16  # uniforms per Monte Carlo slab: with its masks, it stays in L2
-# sampled rows per child stream of a Monte Carlo seed: the stream layout, so
-# it fixes the sampled law of a seed
-_STREAM_ROWS = 4096
 
 
 class BudgetError(RuntimeError):
@@ -175,19 +168,46 @@ def exact_count_distribution(
     miss ``expected_return_count``, by about L * 2**-52 (relative to the
     mean when it exceeds 1); nothing renormalises it.  ``budget_cells``
     caps L * n * |chain states| * |alphabet| * (r_max + 2) and exceeding it
-    raises; nothing is ever silently truncated.
+    raises; nothing is ever silently truncated.  This is the
+    one-environment case of ``exact_count_distributions``.
+    """
+    return exact_count_distributions(model, [env], target, horizon, r_max, budget_cells)[0]
+
+
+def exact_count_distributions(
+    model,
+    envs,
+    target,
+    horizon: int,
+    r_max: int = DEFAULT_R_MAX,
+    budget_cells: int = DEFAULT_BUDGET_CELLS,
+) -> list[CountDistribution]:
+    """``exact_count_distribution`` on each of one or more ``envs``, bit for
+    bit, from one DP that steps the environments together.
+
+    ``budget_cells`` applies per environment, and is checked before any
+    table is built.  One environment's weight tables are built once, whole.
+    Over several, each environment's are built whole once, to find where
+    they stop changing, and then again a chunk of positions at a time
+    (``dp_tables`` from a start position), so memory does not grow with
+    environments times horizon.
     """
     tw = _checked_target(model, target, horizon, r_max)
     _dp_cells(model, tw, horizon, r_max, budget_cells)
     if horizon == 0:
-        return CountDistribution(
-            masses=(1.0,) + (0.0,) * r_max, tail_mass=0.0, provenance="exact-dp"
-        )
+        law = CountDistribution(masses=(1.0,) + (0.0,) * r_max, tail_mass=0.0, provenance="exact-dp")
+        return [law] * len(envs)
     length = horizon + len(tw)
-    vec = _exact_dp(tw, length, *model.dp_tables(env, tw, length), r_max)
-    masses = tuple(float(v) for v in vec[: r_max + 1])
-    tail = float(vec[r_max + 1])
-    return CountDistribution(masses=masses, tail_mass=max(tail, 0.0), provenance="exact-dp")
+    if envs[1:]:
+        alphabet, states, init, _ = model.dp_tables(envs[0], tw, length, length - 1)
+        weights = [lambda start, stop, env=env: model.dp_tables(env, tw, stop, start)[3] for env in envs]
+    else:
+        alphabet, states, init, weights = model.dp_tables(envs[0], tw, length)
+    return [
+        CountDistribution(masses=tuple(float(v) for v in vec[: r_max + 1]),
+                          tail_mass=max(float(vec[r_max + 1]), 0.0), provenance="exact-dp")
+        for vec in _exact_dp(tw, length, alphabet, states, init, weights, r_max)
+    ]
 
 
 def _dp_cells(model, tw, horizon: int, r_max: int, budget_cells: int) -> int:
@@ -201,20 +221,27 @@ def _dp_cells(model, tw, horizon: int, r_max: int, budget_cells: int) -> int:
 
 def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
     """Forward DP over ((chain state, automaton state), clamped count) for
-    words of ``length`` symbols.
+    words of ``length`` symbols, on one environment or a stack of E.
 
     ``states`` are the chain states, each the tuple of alphabet indices of
     the word's first symbols, and ``init`` their masses.  ``weights[i, a, c,
     d]`` is the mass of reading symbol a as the i-th symbol after those
     while the chain moves from state d to state c; the last table holds for
-    every later symbol.  Each step applies a linear operator to the table: a
+    every later symbol.  For E environments ``weights`` is a list of E
+    functions: f(start, stop) gives an environment's tables of positions
+    start..stop-1, again with the last holding for every later one.  A
+    first pass reads each environment's tables whole, one environment at a
+    time, and ``_stack_steps`` reads them again a chunk of positions at a
+    time.  Each step applies a linear operator to the table: a
     count-preserving part and an emitting part that shifts the count axis
-    (the last bin is absorbing).  Both parts are linear in the weight table:
-    ``_step_operators`` builds those of a slab of positions, one product of
-    the slab's weights with each ``_operator_blocks`` routing basis, into one
-    buffer of ``_OPERATOR_SLAB_FLOATS`` floats; nothing is cached.  From the
-    last change of the table on, the steps go to ``_counting_steps`` with
-    the last table's operators.  Returns the law over the count bins.
+    (the last bin is absorbing).  Both parts are linear in the weight table
+    (``_step_operators``).
+
+    Each environment is stepped up to its ``steady`` position, the last
+    change of its tables; from there its steps go to ``_counting_steps``
+    with its last table's operators, so its block decomposition is that of
+    a run on its own.  The environments whose reachable joint states agree
+    step together (``_stack_steps``).  Returns the (E, bins) laws.
     """
     n = len(tw)
     bins = r_max + 2
@@ -230,50 +257,33 @@ def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
             q = next_state[a, q]
         dist[c * n + q, min(count, bins - 1)] += init[c]
 
-    routes = _routing(next_state, emit, n)
-    # joint states never reached from the initial support carry no mass
-    used = (weights != 0).any(axis=0)
-    support = np.einsum("acd,akqr->cqdr", used, routes).reshape(joint, joint)
-    live = _reachable(support, dist.any(axis=1))
-    dist = dist[live]
-    blocks = _operator_blocks(routes, used, live)
-
+    # per-symbol routing (target, source), split by emission: [a, 0] routes the
+    # steps that complete no match, [a, 1] those that do
+    routes = np.zeros((len(alphabet), 2, n, n))
+    routes[np.arange(len(alphabet))[:, None], emit.astype(int), next_state, np.arange(n)] = 1.0
+    if isinstance(weights, np.ndarray):  # one environment's tables
+        weights = [lambda start, stop, tables=weights: tables[min(start, len(tables) - 1) : stop]]
     # completions before position n route normally but never count
     counting_from = max(n - first, 0)
-    changes = np.flatnonzero((weights[1:] != weights[:-1]).any(axis=(1, 2, 3)))
-    steady = max(counting_from, changes[-1] + 1 if changes.size else 0)
-    if len(weights) < steady:  # the last table holds for every later symbol
-        weights = np.concatenate([weights, np.repeat(weights[-1:], steady - len(weights), axis=0)])
-    size = len(live)
-    slab = max(1, _OPERATOR_SLAB_FLOATS // (2 * size * size))
-    # one slab's keep and emit operators; every slab reuses the buffer
-    ops = np.zeros((slab, 2, size, size))
-    shifted = np.empty_like(dist)
-    for start in range(0, steady, slab):
-        stop = min(start + slab, steady)
-        _step_operators(weights[start:stop], blocks, ops)
-        for i, keep_op, emit_op in zip(range(start, stop), ops[:, 0], ops[:, 1]):
-            if i >= counting_from:
-                dist = _count_step(keep_op, emit_op, dist, shifted)
-            else:
-                dist = (keep_op + emit_op) @ dist
-    steps = length - first
-    if steady < steps:
-        _step_operators(weights[-1:], blocks, ops)
-        keep_op, emit_op = ops[0]
-        dist = _counting_steps(keep_op, emit_op, dist, steps - steady)
-    return dist.sum(axis=0)
-
-
-def _routing(next_state, emit, n_states):
-    """Per-symbol routing matrices (target, source), split by emission:
-    [e, 0] routes the steps that complete no match, [e, 1] those that do."""
-    n_eff = next_state.shape[0]
-    routes = np.zeros((n_eff, 2, n_states, n_states))
-    for e in range(n_eff):
-        for q in range(n_states):
-            routes[e, int(emit[e, q]), next_state[e, q], q] = 1.0
-    return routes
+    groups, last = {}, []  # (live, used) -> (live, used, {environment: steady}); last tables
+    for e, source in enumerate(weights):
+        tables = source(0, length)
+        # joint states never reached from the initial support carry no mass
+        used = (tables != 0).any(axis=0)
+        support = np.einsum("acd,akqr->cqdr", used, routes).reshape(joint, joint)
+        live = _reachable(support, dist.any(axis=1))
+        changes = np.flatnonzero((tables[1:] != tables[:-1]).any(axis=(1, 2, 3)))[-1:].tolist()
+        steady = groups.setdefault((live.tobytes(), used.tobytes()), (live, used, {}))[2]
+        steady[e] = max([counting_from] + [c + 1 for c in changes])
+        last.append(tables[-1:].copy())
+        del tables  # before the next environment's tables are built
+    laws = np.empty((len(weights), bins))
+    for live, used, steady in groups.values():
+        blocks = _operator_blocks(routes, used, live)
+        for e, table in _stack_steps(weights, last, steady, blocks, dist[live],
+                                     counting_from, length - first):
+            laws[e] = table.sum(axis=0)
+    return laws
 
 
 def _operator_blocks(routes, used, live):
@@ -292,17 +302,71 @@ def _operator_blocks(routes, used, live):
     ]
 
 
-def _step_operators(tables, blocks, out):
-    """Write the keep and emit operators of each weight table [a, c, d] into
-    ``out[p, 0]`` and ``out[p, 1]``.  They are linear in the table: block
-    (c, d) is one product of the tables' weights [:, :, c, d] with the
-    block's basis for the whole stack; entries outside the blocks stay 0."""
-    for c, d, rows, cols, basis in blocks:
-        block = out[: len(tables), :, rows, cols]
-        if block.flags.c_contiguous:  # one chain state: the block is the operator
-            np.matmul(tables[:, :, c, d], basis, out=block.reshape(len(tables), -1))
+def _stack_steps(sources, last, steady, blocks, dist, counting_from, steps):
+    """(e, final (state, count) table) for each environment e of ``steady``,
+    its ``steady`` position by index, each started from ``dist``.
+
+    The stack holds the environments by decreasing ``steady``, so each
+    position steps the leading slice of those that have not reached theirs:
+    one product per step for the whole slice.  At its ``steady`` an
+    environment leaves the stack for its ``_counting_steps`` tail, whose
+    operators come from its last table ``last[e]``.  Its tables before that
+    come from ``sources[e]`` a chunk of positions at a time; the operators
+    of a slab of positions of the slice go into one buffer of
+    ``_OPERATOR_SLAB_FLOATS`` floats (a slab of one environment is the slab
+    of a run on its own), made anew after each chunk; nothing is cached.
+    """
+    order = sorted(steady, key=steady.get, reverse=True)
+    shape = last[order[0]].shape[1:]
+    size = len(dist)
+    slab = max(1, _OPERATOR_SLAB_FLOATS // (2 * size * size * len(order)))
+    chunk = slab * max(1, _OPERATOR_SLAB_FLOATS // (slab * len(order) * math.prod(shape)))
+    stack = np.repeat(dist[None], len(order), axis=0)
+    shifted = np.empty_like(stack)
+    k = len(order)
+    ops = tables = None
+    for i in range(steady[order[0]] + 1):
+        while k and steady[order[k - 1]] <= i:  # order[k - 1] leaves the stack
+            k -= 1
+            if not k:  # the last tails run without the slab's buffers
+                ops = tables = None
+            e, table = order[k], stack[k]
+            if steady[e] < steps:
+                tail = np.zeros((1, 1, 2, size, size))
+                _step_operators(last[e][None], blocks, tail)
+                table = _counting_steps(tail[0, 0, 0], tail[0, 0, 1], table, steps - steady[e])
+            yield e, table
+        if not k:
+            return
+        if i % chunk == 0:  # no operators are held while the tables are built
+            ops = tables = None
+            tables = np.empty((k, min(chunk, steady[order[0]] - i)) + shape)
+            for j, e in enumerate(order[:k]):
+                rows = sources[e](i, i + tables.shape[1])
+                tables[j, : len(rows)] = rows
+                tables[j, len(rows) :] = rows[-1]  # the last table holds for every later one
+            ops = np.zeros((k, slab, 2, size, size))
+        if i % slab == 0:
+            _step_operators(tables[:k, i % chunk : i % chunk + slab], blocks, ops)
+        if i >= counting_from:
+            stack = _count_step(ops[:k, i % slab, 0], ops[:k, i % slab, 1], stack[:k], shifted[:k])
         else:
-            block[...] = (tables[:, :, c, d] @ basis).reshape(block.shape)
+            stack = (ops[:k, i % slab, 0] + ops[:k, i % slab, 1]) @ stack[:k]
+
+
+def _step_operators(tables, blocks, out):
+    """Write the keep and emit operators of each weight table [e, p, a, c,
+    d] into ``out[e, p, 0]`` and ``out[e, p, 1]``.  They are linear in the
+    table: block (c, d) is one product of the tables' weights [..., c, d]
+    with the block's basis per environment; entries outside the blocks stay
+    0."""
+    envs, count = tables.shape[:2]
+    for c, d, rows, cols, basis in blocks:
+        block = out[:envs, :count, :, rows, cols]
+        if block.flags.c_contiguous:  # one chain state: the block is the operator
+            np.matmul(tables[..., c, d], basis, out=block.reshape(envs, count, -1))
+        else:
+            block[...] = (tables[..., c, d] @ basis).reshape(block.shape)
 
 
 def _count_step(keep_op, emit_op, dist, shifted):
@@ -465,14 +529,6 @@ def _enumeration_words(model, length: int, budget_words: int) -> int:
     return size ** length
 
 
-def _chunk_streams(trials: int, seed):
-    """(rows, generator) per chunk of at most ``_STREAM_ROWS`` of ``trials``
-    rows: chunk c reads the c-th child stream of ``seed``."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for c, child in enumerate(seq.spawn((trials + _STREAM_ROWS - 1) // _STREAM_ROWS)):
-        yield min(_STREAM_ROWS, trials - c * _STREAM_ROWS), np.random.default_rng(child)
-
-
 def _window_mask(hits, classes, horizon: int) -> np.ndarray:
     """(rows, horizon) mask: [r, j - 1] is set when the target occurs in row r
     at offset j in [1, horizon]; ``hits[classes[d]]`` masks where the
@@ -497,108 +553,6 @@ def _all_words(alphabet_size: int, length: int) -> np.ndarray:
     for pos in range(length):
         digits[pos] = (idx // alphabet_size ** (length - 1 - pos)) % alphabet_size
     return digits
-
-
-def monte_carlo_count_distribution(
-    model,
-    env: Environment,
-    target,
-    horizon: int,
-    trials: int,
-    seed,
-    r_max: int = DEFAULT_R_MAX,
-) -> CountDistribution:
-    """Empirical law of the return count over sampled fiber words.
-
-    Row r of the sample reads child stream r // ``_STREAM_ROWS`` of
-    ``seed``, so the law depends on the seed and the trials alone, not on
-    the slab sizes.  A target symbol the sampler can never draw (above a
-    countable model's ``alphabet_cutoff``) is rejected; the exact engine
-    handles it.
-    """
-    tw = _checked_sampling(model, target, horizon, trials, r_max)
-    hist = np.zeros(r_max + 2, dtype=np.int64)
-    for hits, classes in _sampled_classes(model, env, tw, horizon, trials, seed):
-        counts = _window_mask(hits, classes, horizon).sum(axis=1, dtype=np.int64)
-        hist += np.bincount(np.minimum(counts, r_max + 1), minlength=r_max + 2)
-    masses = tuple(float(h) / trials for h in hist[: r_max + 1])
-    tail = float(hist[r_max + 1]) / trials
-    return CountDistribution(masses=masses, tail_mass=tail, provenance="monte-carlo")
-
-
-def _checked_sampling(model, target, horizon: int, trials: int, r_max: int = 0) -> tuple[int, ...]:
-    """``_checked_target`` for the sampling engines, which also need a target
-    the sampler can draw and at least one trial."""
-    tw = _checked_target(model, target, horizon, r_max)
-    outside = [s for s in tw if s not in model.alphabet]
-    if outside:
-        raise ValueError(f"symbol {outside[0]} lies outside the sampled alphabet "
-                         f"{model.alphabet}, past the sampling cutoff: sampled words never contain it")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    return tw
-
-
-def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, seed):
-    """(hits, classes) per slab of rows of ``trials`` samples of
-    horizon + len(tw) positions: ``hits[classes[d]]`` is the (rows, length)
-    mask of the positions holding the target's d-th symbol, one mask per
-    distinct target symbol.
-
-    At depth 1 a return needs only the class of each position: which
-    distinct target symbol, if any, sits there.  Each position is drawn from
-    one uniform, so the class masks come from the uniforms of ``sample_words``'
-    own streams compared with the intervals of ``_class_bounds``; no other
-    symbol is resolved.  Slabs of about ``_MC_SLAB_FLOATS`` uniforms reuse
-    one uniforms and one mask buffer (its last plane is scratch); each
-    consumer reduces a slab before it asks for the next.  At depth > 1 the
-    masks compare ``sample_words``' words with each distinct target symbol.
-    """
-    length = horizon + len(tw)
-    distinct = sorted(set(tw), key=model.alphabet.index)
-    classes = [distinct.index(s) for s in tw]
-    if model.depth > 1:
-        for take, rng in _chunk_streams(trials, seed):
-            words = model.sample_words(env, 0, length, take, rng)
-            yield [words == s for s in distinct], classes
-        return
-    lo, hi = _class_bounds(model, env, distinct, length)
-    # rows drawn one slab after another read the generator's stream in order
-    rows = min(max(1, _MC_SLAB_FLOATS // length), _STREAM_ROWS, trials)
-    u_buf = np.empty((rows, length))
-    hit_buf = np.empty((len(distinct) + 1, rows, length), dtype=bool)
-    for take, rng in _chunk_streams(trials, seed):
-        for done in range(0, take, rows):
-            m = min(rows, take - done)
-            u, hits = u_buf[:m], hit_buf[:, :m]
-            rng.random(out=u)
-            for j in range(len(distinct)):
-                np.greater_equal(u, lo[j], out=hits[j])
-                hits[j] &= np.less(u, hi[j], out=hits[-1])
-            yield hits, classes
-
-
-def _class_bounds(model, env: Environment, distinct, length: int):
-    """(lo, hi), each (len(distinct), length): a uniform u at position i draws
-    symbol s_j = distinct[j] when lo[j, i] <= u < hi[j, i].
-
-    These are the bounds of s_j's interval in the partition
-    ``_cumulative_weights`` gives ``sample_words``, read only over the
-    alphabet prefix up to the largest target symbol; hi is 1 when s_j is
-    the last symbol of a complete alphabet, where ``sample_words`` draws it
-    past the last sum too.
-    """
-    alphabet = model.alphabet
-    prefix = alphabet[: alphabet.index(distinct[-1]) + 1]
-    columns = [prefix.index(s) for s in distinct]
-    lo = np.empty((len(distinct), length))
-    hi = np.empty((len(distinct), length))
-    for a, cum in _cumulative_weights(model, env, 0, length, prefix, _SLAB_CELLS):
-        lo[:, a : a + len(cum)] = cum[:, columns].T
-        hi[:, a : a + len(cum)] = cum[:, [c + 1 for c in columns]].T
-    if model.tail_mass_bound == 0.0 and distinct[-1] == alphabet[-1]:
-        hi[-1] = 1.0
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

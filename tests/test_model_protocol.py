@@ -21,11 +21,14 @@ from reclab import (
     BudgetError,
     CountableModel,
     Environment,
+    ExperimentConfig,
     GibbsSystem,
     MarginalModel,
+    PeriodicPoint,
     Potential,
     TransitionMatrix,
     TwoElementModel,
+    Word,
     as_word,
     binomial_moment_enumeration,
     count_returns,
@@ -34,6 +37,7 @@ from reclab import (
     expected_return_count,
     monte_carlo_count_distribution,
     rare_vs_main_split,
+    run_quenched,
     theta_cluster_estimate,
 )
 
@@ -68,9 +72,9 @@ class ToyModel:
     def dp_width(self, tw):
         return len(self.alphabet)
 
-    def dp_tables(self, env, tw, length):
+    def dp_tables(self, env, tw, length, start=0):
         # one chain state and every symbol in its own column, none lumped
-        weights = self.symbol_weight_matrix(env, 0, length, self.alphabet)
+        weights = self.symbol_weight_matrix(env, start, length - start, self.alphabet)
         return list(self.alphabet), [()], [1.0], weights[:, :, None, None]
 
     def sample_words(self, env, start, length, trials, rng):
@@ -98,6 +102,36 @@ def test_toy_model_runs_every_engine(target, horizon):
         moment = binomial_moment_enumeration(toy, env, target, horizon, k)
         assert moment == pytest.approx(dp.binomial_moment(k), rel=1e-10, abs=1e-12)
     assert expected_return_count(toy, env, target, horizon) == pytest.approx(dp.mean(), abs=1e-12)
+
+
+class QuenchedToyModel(ToyModel):
+    """The toy model plus what a quenched experiment reads besides the
+    engines: marginal cylinder masses (its horizons) and theta (its limit law)."""
+
+    def marginal_cylinder_mass(self, word):
+        return float(np.prod(self.marginal_symbol_weights(as_word(word).symbols)))
+
+    def theta(self, point):
+        return 0.5
+
+
+def test_toy_model_runs_a_quenched_experiment_over_several_environments():
+    toy = QuenchedToyModel()
+    config = ExperimentConfig(
+        toy, PeriodicPoint(Word((0, 2))), (4, 6), 4.0,
+        environments=3, master_seed=7, engines=("exact-dp",), r_max=10,
+    )
+    results = run_quenched(config)
+    for k, n in enumerate(config.n_list):
+        laws = []
+        for res in results:
+            row = res.rows[k]
+            alone = exact_count_distribution(toy, res.environment, config.point.prefix(n),
+                                             row.horizon, r_max=config.r_max)
+            assert (row.distribution.masses, row.distribution.tail_mass) == (
+                alone.masses, alone.tail_mass)
+            laws.append(alone.masses)
+        assert len(set(laws)) == config.environments
 
 
 def test_marginal_model_of_the_toy_samples_and_runs_the_dp():

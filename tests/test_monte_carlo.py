@@ -27,7 +27,7 @@ from reclab import (
     monte_carlo_count_distribution,
     theta_cluster_estimate,
 )
-from reclab import returns
+from reclab import sampling
 from reclab.returns import _window_counts
 
 TWO = TwoElementModel(0.3, 0.7, 0.5)
@@ -68,8 +68,8 @@ def _window_matches(words, target, horizon: int):
 
 def _sampled_words(model, env, length: int, trials: int, seed):
     """``sample_words``' words over Monte Carlo's streams, one child stream of
-    ``seed`` (``returns._STREAM_ROWS`` rows) at a time."""
-    for take, rng in returns._chunk_streams(trials, seed):
+    ``seed`` (``sampling._STREAM_ROWS`` rows) at a time."""
+    for take, rng in sampling._chunk_streams(trials, seed):
         yield model.sample_words(env, 0, length, take, rng)
 
 
@@ -100,12 +100,12 @@ def test_slab_size_does_not_change_the_law(monkeypatch, model, target):
     env = model.draw_environment(HORIZON + len(target), 6)
     law = _monte_carlo(model, env, target, seed=2)  # slabs of _MC_SLAB_FLOATS uniforms
     # one row of uniforms, and one position of weights, per slab
-    monkeypatch.setattr(returns, "_SLAB_CELLS", 1)
+    monkeypatch.setattr(sampling, "_SLAB_CELLS", 1)
     assert _monte_carlo(model, env, target, seed=2) == law
-    monkeypatch.setattr(returns, "_MC_SLAB_FLOATS", 1)
+    monkeypatch.setattr(sampling, "_MC_SLAB_FLOATS", 1)
     assert _monte_carlo(model, env, target, seed=2) == law
     # 2**20 uniforms: every row of the stream in one slab
-    monkeypatch.setattr(returns, "_MC_SLAB_FLOATS", 1 << 20)
+    monkeypatch.setattr(sampling, "_MC_SLAB_FLOATS", 1 << 20)
     assert _monte_carlo(model, env, target, seed=2) == law
 
 
@@ -137,7 +137,7 @@ def test_sampled_symbols_fall_in_the_class_of_their_uniform(model, target):
     length, trials = 200, 500
     env = model.draw_environment(length, 5)
     distinct = sorted(set(target), key=model.alphabet.index)
-    lo, hi = returns._class_bounds(model, env, distinct, length)
+    lo, hi = sampling._class_bounds(model, env, distinct, length)
     words = model.sample_words(env, 0, length, trials, np.random.default_rng(1))
     u = np.random.default_rng(1).random((trials, length))
     for j, s in enumerate(distinct):

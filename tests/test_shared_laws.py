@@ -65,9 +65,13 @@ def test_environment_dependent_laws_are_not_shared(monkeypatch):
         model, PeriodicPoint(Word((0,))), (4, 6), 1.0,
         environments=3, master_seed=11, engines=("exact-dp",), r_max=16,
     )
-    dp_calls = _counting(monkeypatch, "exact_count_distribution")
-    run_quenched(config)
-    assert len(dp_calls) == len(config.n_list) * config.environments
+    dp_calls = _counting(monkeypatch, "exact_count_distributions")
+    results = run_quenched(config)
+    # one stacked DP per n, over every environment
+    assert [len(args[1]) for args in dp_calls] == [config.environments] * len(config.n_list)
+    for k in range(len(config.n_list)):
+        laws = {res.rows[k].distribution.masses for res in results}
+        assert len(laws) == config.environments
 
 
 def test_limit_law_table_built_once_per_run(monkeypatch):

@@ -5,9 +5,11 @@
 #
 # REV's src/ is exported with git archive into a temporary directory.  With
 # each tree's src/ on PYTHONPATH, and the working tree's configs, it runs
-#   converge on configs/*.json, bench/configs/gibbs_markov.json and
-#            bench/configs/countable_mc.json (the last at --seed 0-9),
-#   theta    on the same four configs,
+#   converge on configs/*.json, bench/configs/gibbs_markov.json,
+#            bench/configs/countable_mc.json (at --seed 0-9) and
+#            tests/configs/long_tails.json (two-element environments whose
+#            long constant tails take the DP's block path, next to short ones),
+#   theta    on configs/*.json and the two bench configs,
 #   pa --t 2 --p 0.5, and selfcheck,
 # then compares every CSV and every stdout (with its exit status, and without
 # the "wrote <path>" lines) byte for byte.  manifest.json is skipped: it holds
@@ -46,6 +48,8 @@ run_all() {
             --seed "$seed" --out "$out/converge_countable_mc_seed$seed"
     done
     run "$src" "$out" theta_countable_mc theta --config "$config"
+    run "$src" "$out" converge_long_tails converge --config tests/configs/long_tails.json \
+        --out "$out/converge_long_tails"
     run "$src" "$out" pa pa --t 2 --p 0.5 --out "$out/pa"
     run "$src" "$out" selfcheck selfcheck
 }
