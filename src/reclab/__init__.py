@@ -25,8 +25,7 @@ _EXPORTS = {
     "gibbs": ("GibbsSystem", "PerronData", "Potential", "bernoulli_potential",
               "build_transfer_matrix", "fit_decay_factor", "normalize_potential",
               "perron_eigendata"),
-    "models": ("CountableModel", "Environment", "MarginalModel", "MixingProfile",
-               "TwoElementModel"),
+    "models": ("CountableModel", "Environment", "MarginalModel", "TwoElementModel"),
     "polya_aeppli": ("CountDistribution", "PolyaAeppliParams", "pa_binomial_moment",
                      "pa_mean_variance", "pa_pgf", "pa_pmf", "pa_pmf_table", "pa_sample_many"),
     "returns": ("BudgetError", "count_returns", "enumerate_count_distribution",

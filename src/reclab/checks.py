@@ -307,7 +307,7 @@ def _pattern_mass(model, env: Environment, pattern) -> float:
     symbol's table, a free one the sum over symbols."""
     pattern = tuple(pattern) + (None,) * (model.depth - 1 - len(pattern))
     fixed = tuple(s for s in pattern if s is not None)
-    alphabet, states, init, tables = model.dp_tables(env, fixed, len(pattern))
+    alphabet, states, init, tables = model.dp_tables(env, fixed, len(pattern), 0)
     head = len(states[0])
     mass = np.array([p * all(c is None or alphabet.index(c) == s for c, s in zip(pattern, state))
                      for p, state in zip(init, states)])

@@ -69,9 +69,6 @@ class Potential:
         words = transitions.admissible_tuples(depth)
         return cls(depth, {w: value for w in words})
 
-    def __call__(self, word: tuple[int, ...]) -> float:
-        return self.values[word]
-
 
 def bernoulli_potential(weights, depth: int = 1) -> Potential:
     """log-weight potential whose Gibbs state is the i.i.d. product measure."""
@@ -365,15 +362,10 @@ class GibbsSystem:
     def dp_width(self, tw) -> int:
         return len(self.states) * self.transitions.size
 
-    def dp_tables(self, env, tw, length: int, start: int = 0):
+    def dp_tables(self, env, tw, length: int, start: int):
         """The (k-1)-step chain as the exact DP's tables: one weight table for
         every position, from any ``start`` on."""
-        del env, tw, start  # the measure does not depend on the environment
-        if length < self.depth - 1:
-            raise ValueError(
-                f"word length {length} shorter than the chain memory {self.depth - 1}; "
-                "use enumerate_count_distribution instead"
-            )
+        del env, tw, length, start  # the measure does not depend on the environment
         init, nxt, prob = self.chain_tables()
         chain, size = prob.shape
         table = np.zeros((size, chain, chain))

@@ -35,14 +35,14 @@ Every model (``reclab.gibbs.GibbsSystem`` too) serves the engines through
 one protocol: ``validate_target``, ``alphabet`` (what ``sample_words``
 draws, complete when ``tail_mass_bound`` is 0.0), ``depth`` (1 for product
 fibers), ``environment_free``, ``dp_width`` (read before any table is
-built) and ``dp_tables`` for the exact DP (from a start position when it
-steps several environments) and ``checks.check_psi_mixing``'s joint
-masses, ``symbol_weight_matrix``, ``fiber_cylinder_mass``,
-``marginal_cylinder_mass``, ``sample_words``, ``draw_environment`` and
-``theta_report`` (the lines of ``reclab theta``).  A product model also
-answers ``marginal_symbol_weights(symbols)``, which ``MarginalModel`` reads;
-the base class's ``marginal_symbol_weight(s)`` is its scalar view.
-``ratio_convergence`` reads the marginal mass ratios whose limit is theta.
+built) and ``dp_tables`` (from a start position) for the exact DP and
+``checks.check_psi_mixing``'s joint masses, ``symbol_weight_matrix``,
+``fiber_cylinder_mass``, ``marginal_cylinder_mass``, ``sample_words``,
+``draw_environment`` and ``theta_report`` (the lines of ``reclab theta``).
+A product model also answers ``marginal_symbol_weights(symbols)``, which
+``MarginalModel`` reads; the base class's ``marginal_symbol_weight(s)`` is
+its scalar view.  ``ratio_convergence`` reads the marginal mass ratios
+whose limit is theta.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ import numpy as np
 from .symbolic import SENTINEL_SYMBOL, PeriodicPoint, as_word
 
 __all__ = [
-    "Environment", "TwoElementModel", "CountableModel", "MarginalModel", "MixingProfile",
-    "SENTINEL_SYMBOL", "ratio_convergence",
+    "Environment", "TwoElementModel", "CountableModel", "MarginalModel", "SENTINEL_SYMBOL",
+    "ratio_convergence",
 ]
 
 # The countable-model normaliser G(u) is defined by
@@ -173,21 +173,6 @@ class Environment:
         return self.window[start : start + count]
 
 
-@dataclass(frozen=True)
-class MixingProfile:
-    """psi-mixing metadata: psi(k) values for k = 0.., plus rate bounds.
-
-    eta1 upper-bounds every one-symbol fiber weight; eta0 lower-bounds
-    marginal n-cylinder decay (None when the alphabet is infinite and no
-    uniform lower bound exists).  The mean-convergence results need
-    psi(k) k^q -> 0 for some q above 2 log(eta1) / log(eta0).
-    """
-
-    psi: tuple[float, ...]
-    eta0: float | None
-    eta1: float
-
-
 class _ProductModelBase:
     """Shared machinery: everything downstream of per-position symbol weights."""
 
@@ -199,7 +184,7 @@ class _ProductModelBase:
 
     # Concrete models supply _draw_coordinates(rng, length), symbol_weight_matrix(env,
     # start, length, symbols) (the (length, len(symbols)) fiber weights p_s(w_{start+i})),
-    # marginal_symbol_weights(symbols), validate_target_symbol(s) and mixing_profile(k_max).
+    # marginal_symbol_weights(symbols) and validate_target_symbol(s).
 
     def validate_target(self, target) -> tuple[int, ...]:
         tw = as_word(target).symbols
@@ -211,7 +196,7 @@ class _ProductModelBase:
         # the distinct target symbols plus the lumped "everything else" symbol
         return len(set(tw)) + 1
 
-    def dp_tables(self, env: Environment, tw, length: int, start: int = 0):
+    def dp_tables(self, env: Environment, tw, length: int, start: int):
         """A product measure as a one-state chain whose weights vary by
         position; the tables are those of positions start..length-1."""
         distinct = tuple(dict.fromkeys(tw))
@@ -372,12 +357,6 @@ class TwoElementModel(_ProductModelBase):
         if s not in (0, 1):
             raise ValueError(f"two-element model has alphabet {{0, 1}}, got symbol {s}")
 
-    def mixing_profile(self, k_max: int = 16) -> MixingProfile:
-        weights = (self.alpha, self.beta, 1.0 - self.alpha, 1.0 - self.beta)
-        return MixingProfile(
-            psi=(0.0,) * (k_max + 1), eta0=min(weights), eta1=max(weights)
-        )
-
 
 class CountableModel(_ProductModelBase):
     """Countable-alphabet family with weights G(u)/(n log^{1+u} n), n >= 3.
@@ -471,12 +450,6 @@ class CountableModel(_ProductModelBase):
     def _draw_coordinates(self, rng: np.random.Generator, length: int) -> np.ndarray:
         return rng.uniform(self.epsilon, 1.0, size=length)
 
-    def mixing_profile(self, k_max: int = 16) -> MixingProfile:
-        # sup over u and symbols of the one-symbol weight; attained at s = 3.
-        grid = np.linspace(self.epsilon, 1.0, 257)
-        eta1 = float(np.max(_normalizers(grid) * self._base_weight(grid, 3))) * (1 + 1e-9)
-        return MixingProfile(psi=(0.0,) * (k_max + 1), eta0=None, eta1=eta1)
-
 
 class MarginalModel(_ProductModelBase):
     """The coordinate-averaged (annealed) measure of a product model.
@@ -511,9 +484,6 @@ class MarginalModel(_ProductModelBase):
 
     def validate_target(self, target) -> tuple[int, ...]:
         return self.base.validate_target(target)
-
-    def mixing_profile(self, k_max: int = 16) -> MixingProfile:
-        return self.base.mixing_profile(k_max)
 
 
 def ratio_convergence(model, x: PeriodicPoint, n_max: int) -> list[tuple[int, float, float]]:

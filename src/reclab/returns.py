@@ -26,9 +26,9 @@ here, the third, Monte Carlo, in ``reclab.sampling``:
 
 Each engine checks the target with the model's ``validate_target`` and
 reads only the protocol listed in ``reclab.models``: the DP ``dp_width``
-and ``dp_tables`` (whose chain ``checks.check_psi_mixing`` reads too; over
-several environments the DP reads each one's tables from a start position,
-a chunk at a time); enumeration a complete ``alphabet``, ``depth`` and
+and ``dp_tables`` (whose chain ``checks.check_psi_mixing`` reads too; the
+DP reads each environment's tables whole once, then a chunk at a time from
+a start position); enumeration a complete ``alphabet``, ``depth`` and
 ``symbol_weight_matrix``, or ``fiber_cylinder_mass`` per word when
 ``depth`` > 1.  ``expected_return_count``, the exact mean, reads the
 per-offset placement masses of ``_placement_suffix``, as the moment layer
@@ -186,27 +186,22 @@ def exact_count_distributions(
     bit, from one DP that steps the environments together.
 
     ``budget_cells`` applies per environment, and is checked before any
-    table is built.  One environment's weight tables are built once, whole.
-    Over several, each environment's are built whole once, to find where
-    they stop changing, and then again a chunk of positions at a time
-    (``dp_tables`` from a start position), so memory does not grow with
-    environments times horizon.
+    table is built.  Each environment's weight tables are built whole once,
+    to find where they stop changing, and then again a chunk of positions at
+    a time (``dp_tables`` from a start position), so memory does not grow
+    with environments times horizon.
     """
+    if not envs:
+        raise ValueError("need at least one environment")
     tw = _checked_target(model, target, horizon, r_max)
     _dp_cells(model, tw, horizon, r_max, budget_cells)
     if horizon == 0:
         law = CountDistribution(masses=(1.0,) + (0.0,) * r_max, tail_mass=0.0, provenance="exact-dp")
         return [law] * len(envs)
-    length = horizon + len(tw)
-    if envs[1:]:
-        alphabet, states, init, _ = model.dp_tables(envs[0], tw, length, length - 1)
-        weights = [lambda start, stop, env=env: model.dp_tables(env, tw, stop, start)[3] for env in envs]
-    else:
-        alphabet, states, init, weights = model.dp_tables(envs[0], tw, length)
     return [
         CountDistribution(masses=tuple(float(v) for v in vec[: r_max + 1]),
                           tail_mass=max(float(vec[r_max + 1]), 0.0), provenance="exact-dp")
-        for vec in _exact_dp(tw, length, alphabet, states, init, weights, r_max)
+        for vec in _exact_dp(model, envs, tw, horizon + len(tw), r_max)
     ]
 
 
@@ -219,23 +214,22 @@ def _dp_cells(model, tw, horizon: int, r_max: int, budget_cells: int) -> int:
     return cells
 
 
-def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
+def _exact_dp(model, envs, tw, length, r_max):
     """Forward DP over ((chain state, automaton state), clamped count) for
-    words of ``length`` symbols, on one environment or a stack of E.
+    words of ``length`` symbols, on each of the E environments ``envs``.
 
-    ``states`` are the chain states, each the tuple of alphabet indices of
-    the word's first symbols, and ``init`` their masses.  ``weights[i, a, c,
-    d]`` is the mass of reading symbol a as the i-th symbol after those
-    while the chain moves from state d to state c; the last table holds for
-    every later symbol.  For E environments ``weights`` is a list of E
-    functions: f(start, stop) gives an environment's tables of positions
-    start..stop-1, again with the last holding for every later one.  A
-    first pass reads each environment's tables whole, one environment at a
-    time, and ``_stack_steps`` reads them again a chunk of positions at a
-    time.  Each step applies a linear operator to the table: a
-    count-preserving part and an emitting part that shifts the count axis
-    (the last bin is absorbing).  Both parts are linear in the weight table
-    (``_step_operators``).
+    ``model.dp_tables(env, tw, stop, start)`` gives the symbols, the chain
+    states (each the tuple of alphabet indices of the word's first symbols),
+    their masses and the tables of positions start..stop-1: ``tables[i, a,
+    c, d]`` is the mass of reading symbol a as the (start + i)-th symbol
+    after those while the chain moves from state d to state c; the last
+    holds for every later symbol.  A first pass reads each environment's
+    tables whole, one at a time (environment 0's call also gives the
+    symbols, states and masses), and ``_stack_steps`` reads them again a
+    chunk of positions at a time.  Each step applies a linear operator to
+    the table: a count-preserving part and an emitting part that shifts the
+    count axis (the last bin is absorbing).  Both parts are linear in the
+    weight table (``_step_operators``).
 
     Each environment is stepped up to its ``steady`` position, the last
     change of its tables; from there its steps go to ``_counting_steps``
@@ -243,10 +237,14 @@ def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
     a run on its own.  The environments whose reachable joint states agree
     step together (``_stack_steps``).  Returns the (E, bins) laws.
     """
+    alphabet, states, init, tables = model.dp_tables(envs[0], tw, length, 0)
+    first = len(states[0])
+    if length < first:
+        raise ValueError(f"word length {length} shorter than the chain memory {first}; "
+                         "use enumerate_count_distribution instead")
     n = len(tw)
     bins = r_max + 2
     next_state, emit = _automaton(tw, alphabet)
-    first = len(states[0])
     joint = len(states) * n
     dist = np.zeros((joint, bins))
     for c, s in enumerate(states):
@@ -261,13 +259,12 @@ def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
     # steps that complete no match, [a, 1] those that do
     routes = np.zeros((len(alphabet), 2, n, n))
     routes[np.arange(len(alphabet))[:, None], emit.astype(int), next_state, np.arange(n)] = 1.0
-    if isinstance(weights, np.ndarray):  # one environment's tables
-        weights = [lambda start, stop, tables=weights: tables[min(start, len(tables) - 1) : stop]]
     # completions before position n route normally but never count
     counting_from = max(n - first, 0)
     groups, last = {}, []  # (live, used) -> (live, used, {environment: steady}); last tables
-    for e, source in enumerate(weights):
-        tables = source(0, length)
+    for e, env in enumerate(envs):
+        if e:
+            tables = model.dp_tables(env, tw, length, 0)[3]
         # joint states never reached from the initial support carry no mass
         used = (tables != 0).any(axis=0)
         support = np.einsum("acd,akqr->cqdr", used, routes).reshape(joint, joint)
@@ -277,10 +274,10 @@ def _exact_dp(tw, length, alphabet, states, init, weights, r_max):
         steady[e] = max([counting_from] + [c + 1 for c in changes])
         last.append(tables[-1:].copy())
         del tables  # before the next environment's tables are built
-    laws = np.empty((len(weights), bins))
+    laws = np.empty((len(envs), bins))
     for live, used, steady in groups.values():
         blocks = _operator_blocks(routes, used, live)
-        for e, table in _stack_steps(weights, last, steady, blocks, dist[live],
+        for e, table in _stack_steps(model, envs, tw, last, steady, blocks, dist[live],
                                      counting_from, length - first):
             laws[e] = table.sum(axis=0)
     return laws
@@ -302,7 +299,7 @@ def _operator_blocks(routes, used, live):
     ]
 
 
-def _stack_steps(sources, last, steady, blocks, dist, counting_from, steps):
+def _stack_steps(model, envs, tw, last, steady, blocks, dist, counting_from, steps):
     """(e, final (state, count) table) for each environment e of ``steady``,
     its ``steady`` position by index, each started from ``dist``.
 
@@ -311,7 +308,7 @@ def _stack_steps(sources, last, steady, blocks, dist, counting_from, steps):
     one product per step for the whole slice.  At its ``steady`` an
     environment leaves the stack for its ``_counting_steps`` tail, whose
     operators come from its last table ``last[e]``.  Its tables before that
-    come from ``sources[e]`` a chunk of positions at a time; the operators
+    come from ``dp_tables`` on ``envs[e]``, a chunk at a time; the operators
     of a slab of positions of the slice go into one buffer of
     ``_OPERATOR_SLAB_FLOATS`` floats (a slab of one environment is the slab
     of a run on its own), made anew after each chunk; nothing is cached.
@@ -342,7 +339,7 @@ def _stack_steps(sources, last, steady, blocks, dist, counting_from, steps):
             ops = tables = None
             tables = np.empty((k, min(chunk, steady[order[0]] - i)) + shape)
             for j, e in enumerate(order[:k]):
-                rows = sources[e](i, i + tables.shape[1])
+                rows = model.dp_tables(envs[e], tw, i + tables.shape[1], i)[3]
                 tables[j, : len(rows)] = rows
                 tables[j, len(rows) :] = rows[-1]  # the last table holds for every later one
             ops = np.zeros((k, slab, 2, size, size))

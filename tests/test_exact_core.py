@@ -3,8 +3,9 @@
 Stationary product measures (``MarginalModel``) run their counting steps in
 blocks like Gibbs systems; quenched product models keep every automaton
 state and stay on the plain step while their weights change; an i.i.d.
-Gibbs system is the one-chain-state case of the same core.  The operator
-cache stays bounded when weight tables never repeat.
+Gibbs system is the one-chain-state case of the same core, and a word
+shorter than a Markov chain's memory is refused.  The operator cache stays
+bounded when weight tables never repeat.
 """
 
 import tracemalloc
@@ -17,6 +18,7 @@ from reclab import (
     GibbsSystem,
     MarginalModel,
     PeriodicPoint,
+    Potential,
     TransitionMatrix,
     TwoElementModel,
     Word,
@@ -116,16 +118,26 @@ def test_iid_gibbs_is_the_one_chain_state_case(monkeypatch):
     system = GibbsSystem(TransitionMatrix.full(3), bernoulli_potential([0.2, 0.5, 0.3]))
     target, horizon = (1, 2, 1), 8
     calls = []
-    core = returns._exact_dp
+    dp_tables = GibbsSystem.dp_tables
 
-    def spy_core(tw, length, alphabet, states, init, weights, r_max):
-        calls.append((list(states), weights.shape))
-        return core(tw, length, alphabet, states, init, weights, r_max)
+    def spy_tables(self, *args):
+        alphabet, states, init, tables = dp_tables(self, *args)
+        calls.append((list(states), tables.shape))
+        return alphabet, states, init, tables
 
-    monkeypatch.setattr(returns, "_exact_dp", spy_core)
+    monkeypatch.setattr(GibbsSystem, "dp_tables", spy_tables)
     dp = exact_count_distribution(system, None, target, horizon, r_max=horizon)
-    # one chain state and one weight table for every position
-    assert calls == [([()], (1, 3, 1, 1))]
+    # one chain state and one weight table for every position, on every call
+    assert calls and all(call == ([()], (1, 3, 1, 1)) for call in calls)
     brute = enumerate_count_distribution(system, None, target, horizon)
     np.testing.assert_allclose(dp.masses, brute.masses, rtol=0, atol=1e-12)
     assert dp.tail_mass == 0.0
+
+
+def test_a_word_shorter_than_the_chain_memory_is_refused():
+    # a depth-4 potential is a 3-step chain: a target of one symbol at
+    # horizon 1 spans two symbols
+    full = TransitionMatrix.full(2)
+    system = GibbsSystem(full, Potential.constant(0.0, full, depth=4))
+    with pytest.raises(ValueError, match="word length 2 shorter than the chain memory 3"):
+        exact_count_distribution(system, None, (0,), 1)

@@ -6,7 +6,8 @@ engine; random Markov Gibbs systems on constrained shifts keep the exact DP
 equal to enumeration; the streaming window counter keeps the integers of the
 plain slice comparisons; the cluster estimator counts the returns of the
 sampled words on every model family; the DP on a ``MarginalModel`` is the
-exact environment average of the quenched DP laws.
+exact environment average of the quenched DP laws; every model's
+``dp_tables`` from a start position gives the rows of its whole call.
 """
 
 import itertools
@@ -146,6 +147,41 @@ def test_marginal_model_of_the_toy_samples_and_runs_the_dp():
 
 TWO = TwoElementModel(0.3, 0.7, 0.5)
 ENV = TWO.draw_environment(20, 0)
+
+
+def _held(tables, start, stop):
+    """Rows start..stop-1 of a weight-table stack, its last row holding for
+    every later position."""
+    return tables[np.minimum(np.arange(start, stop), len(tables) - 1)]
+
+
+def _depth_three_golden_mean():
+    golden = TransitionMatrix([[1, 1], [1, 0]])
+    words = golden.admissible_tuples(3)
+    return GibbsSystem(golden, Potential(3, {w: 0.3 * i - 0.5 for i, w in enumerate(words)}))
+
+
+@pytest.mark.parametrize(
+    "model, target",
+    [
+        pytest.param(TWO, (0, 1, 0), id="two-element"),
+        pytest.param(CountableModel(0.5, alphabet_cutoff=64), (3, 4, 3), id="countable"),
+        pytest.param(MarginalModel(TWO), (0, 1), id="marginal"),
+        pytest.param(_depth_three_golden_mean(), (0, 1, 0), id="gibbs-depth-3"),
+        pytest.param(ToyModel(), (0, 2), id="toy"),
+    ],
+)
+def test_dp_tables_from_a_start_position_are_rows_of_the_whole_call(model, target):
+    # the exact DP reads every model's tables whole once, then a chunk at a
+    # time; a chunk may be shorter than a Gibbs chain's memory
+    length = 40
+    env = model.draw_environment(length, 3)
+    whole = model.dp_tables(env, target, length, 0)[3]
+    for start, stop in ((0, length), (0, 1), (1, 2), (5, 17), (17, length), (length - 1, length)):
+        chunk = model.dp_tables(env, target, stop, start)[3]
+        assert 1 <= len(chunk) <= stop - start
+        held, want = _held(chunk, 0, stop - start), _held(whole, start, stop)
+        assert held.shape == want.shape and held.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -183,21 +183,6 @@ def test_marginal_is_environment_average(two_elt):
     assert abs(masses.mean() - want) <= 4 * se
 
 
-def test_condition_iv_witness(two_elt, countable):
-    profile = two_elt.mixing_profile()
-    assert profile.eta1 < 1.0
-    assert profile.eta1 >= max(0.3, 0.7, 1 - 0.3, 1 - 0.7)
-    assert 0.0 < profile.eta0 <= min(0.3, 0.7, 1 - 0.3, 1 - 0.7)
-    assert all(v == 0.0 for v in profile.psi)
-    # the mean-convergence results need psi(k) k^q -> 0 for some q above
-    # 2 log(eta1) / log(eta0); psi is 0 here, so every q will do
-    threshold = 2.0 * math.log(profile.eta1) / math.log(profile.eta0)
-    assert threshold == pytest.approx(2 * math.log(0.7) / math.log(0.3))
-    cprofile = countable.mixing_profile()
-    assert cprofile.eta1 < 1.0
-    assert cprofile.eta0 is None  # no threshold without a cylinder-mass lower bound
-
-
 def test_check_psi_mixing_product_models(two_elt):
     env = two_elt.draw_environment(64, 5)
     report = check_psi_mixing(

@@ -22,7 +22,7 @@ SRC = Path(reclab.__file__).resolve().parents[1]
 # the public top-level names, as the eager imports of the package defined them
 EXPORTS = [
     "BudgetError", "CountDistribution", "CountableModel", "Environment", "ExperimentConfig",
-    "GibbsSystem", "MarginalModel", "MixingProfile", "PatternClass", "PeriodicPoint",
+    "GibbsSystem", "MarginalModel", "PatternClass", "PeriodicPoint",
     "PerronData", "PolyaAeppliParams", "Potential", "ReturnPattern", "TransitionMatrix",
     "TwoElementModel", "Word", "as_word", "bernoulli_potential", "binomial_moment_enumeration",
     "build_transfer_matrix", "check_psi_mixing", "classify_pattern", "count_returns",

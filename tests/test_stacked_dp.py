@@ -5,8 +5,8 @@ environments together; each environment must keep the arithmetic of its own
 ``exact_count_distribution`` run: the same laws bit for bit, the same
 stationary tail from its own last weight change (so the same block path),
 and its own reachable states.  Memory stays that of a chunk of the stack,
-and an over-budget run is refused before any table is built or any
-environment is drawn.
+an over-budget run is refused before any table is built or any
+environment is drawn, and an empty environment list is refused.
 """
 
 import tracemalloc
@@ -113,6 +113,13 @@ def test_horizon_zero_and_one_environment():
     _assert_same_bits(*_laws(TWO, envs[:1], (0, 1, 0), 5, r_max=5))
 
 
+@pytest.mark.parametrize("horizon, budget_cells", [(0, 10**9), (5, 10**9), (5, 1)])
+def test_an_empty_environment_list_is_refused(horizon, budget_cells):
+    # refused at every horizon, before the budget check
+    with pytest.raises(ValueError, match="need at least one environment"):
+        exact_count_distributions(TWO, [], (0, 1), horizon, budget_cells=budget_cells)
+
+
 class ShortStackModel(TwoElementModel):
     """Gives the tables only up to the last change of the weights; the last
     one holds for every later position."""
@@ -165,9 +172,9 @@ def test_an_environment_with_a_zero_weight_steps_on_its_own_states(monkeypatch):
     stacks = []
     stack_steps = returns._stack_steps
 
-    def spy(sources, last, steady, blocks, dist, *args):
+    def spy(model, envs, tw, last, steady, blocks, dist, *args):
         stacks.append((sorted(steady), len(dist)))
-        return stack_steps(sources, last, steady, blocks, dist, *args)
+        return stack_steps(model, envs, tw, last, steady, blocks, dist, *args)
 
     monkeypatch.setattr(returns, "_stack_steps", spy)
     stacked, alone = _laws(model, envs, target, horizon, r_max=8)

@@ -8,8 +8,10 @@
 #   converge on configs/*.json, bench/configs/gibbs_markov.json,
 #            bench/configs/countable_mc.json (at --seed 0-9) and
 #            tests/configs/long_tails.json (two-element environments whose
-#            long constant tails take the DP's block path, next to short ones),
-#   theta    on configs/*.json and the two bench configs,
+#            long constant tails take the DP's block path, next to short ones)
+#            and tests/configs/one_environment.json (a product model's
+#            quenched DP on a single environment),
+#   theta    on configs/*.json, the two bench configs and one_environment.json,
 #   pa --t 2 --p 0.5, and selfcheck,
 # then compares every CSV and every stdout (with its exit status, and without
 # the "wrote <path>" lines) byte for byte.  manifest.json is skipped: it holds
@@ -50,6 +52,10 @@ run_all() {
     run "$src" "$out" theta_countable_mc theta --config "$config"
     run "$src" "$out" converge_long_tails converge --config tests/configs/long_tails.json \
         --out "$out/converge_long_tails"
+    config=tests/configs/one_environment.json
+    run "$src" "$out" converge_one_environment converge --config "$config" \
+        --out "$out/converge_one_environment"
+    run "$src" "$out" theta_one_environment theta --config "$config"
     run "$src" "$out" pa pa --t 2 --p 0.5 --out "$out/pa"
     run "$src" "$out" selfcheck selfcheck
 }
