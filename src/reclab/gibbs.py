@@ -255,6 +255,7 @@ class GibbsSystem:
         self._norm_values = {
             w: math.exp(v) for w, v in self.normalized.values.items()
         }
+        self._chain = None  # chain_tables, built on first use
 
     # -- measure -------------------------------------------------------------
     @property
@@ -322,8 +323,11 @@ class GibbsSystem:
 
         Where a transition is inadmissible, next_state is 0 and prob is 0.
         States are the admissible (k-1)-words; for depth 1 there is a single
-        state, (), of mass 1.
+        state, (), of mass 1.  Built once per system; the arrays are
+        read-only.
         """
+        if self._chain is not None:
+            return self._chain
         size = self.transitions.size
         n_states = len(self.states)
         nxt = np.zeros((n_states, size), dtype=np.int64)
@@ -336,7 +340,10 @@ class GibbsSystem:
                 j = self.state_index[word[1:]]
                 nxt[i, a] = j
                 prob[i, a] = self._norm_values[word] * self.state_masses[j] / self.state_masses[i]
-        return self.state_masses.copy(), nxt, prob
+        self._chain = (self.state_masses.copy(), nxt, prob)
+        for table in self._chain:
+            table.setflags(write=False)
+        return self._chain
 
     def sample_words(self, env, start, length, trials, rng) -> np.ndarray:
         """Stationary sample paths of the underlying Markov chain."""

@@ -394,11 +394,11 @@ def _reachable(adjacency, start):
     return np.flatnonzero(seen)
 
 
-# The block path holds the power, states**2 * bins floats, and each block
-# applies it to a lagged table of bins**2 * states floats; when the larger
-# of the two passes this the plain loop runs instead, whose memory is that of
-# the (state, count) table.
+# The block path holds the power, states**2 * bins floats, and applies it to a
+# lagged table ``_LAGGED_SLAB_FLOATS`` floats (one count column at least) at a
+# time; past this the plain loop runs instead, in the (state, count) table.
 _BLOCK_FLOATS_MAX = 1 << 20
+_LAGGED_SLAB_FLOATS = 1 << 15
 
 
 def _counting_steps(keep_op, emit_op, dist, steps):
@@ -410,12 +410,12 @@ def _counting_steps(keep_op, emit_op, dist, steps):
     loop's rounding (repeated squaring would double the rounding error with
     each squaring).  A block costs about bins/2 plain steps of arithmetic
     in one call, so B ~ sqrt(steps * bins / states) balances building
-    against applying; short runs, and runs whose power or lagged table
-    would pass ``_BLOCK_FLOATS_MAX``, stay on the loop.
+    against applying; short runs, and runs whose power would pass
+    ``_BLOCK_FLOATS_MAX``, stay on the loop.
     """
     states, bins = dist.shape
     block = max(1, round(math.sqrt(steps * bins / states)))
-    if steps >= 4 * block and states * bins * max(states, bins) <= _BLOCK_FLOATS_MAX:
+    if steps >= 4 * block and states * states * bins <= _BLOCK_FLOATS_MAX:
         power = _block_operator(keep_op, emit_op, bins, block)
         for _ in range(steps // block):
             dist = _apply_block(power, dist)
@@ -460,17 +460,28 @@ def _block_operator(keep_op, emit_op, bins, block):
 
 
 def _apply_block(power, dist):
-    """Apply a ``_block_operator`` to a (state, count) table."""
+    """Apply a ``_block_operator`` to a (state, count) table: the power times
+    the lagged table, filled one slab of output count columns at a time.  A
+    column c < bins - 1 reads only lags d <= c, so a slab below the top bin
+    multiplies only the power's columns of its lags.  A table whose lagged
+    copy fits one slab takes one product; several slabs may round its
+    entries differently, by at most a unit in the last place per term."""
     states, bins = dist.shape
     padded = np.zeros((states, 2 * bins - 1))
     padded[:, bins - 1 :] = dist
-    # lagged[d, j, c] = dist[j, c - d], zero for c < d
-    windows = np.lib.stride_tricks.sliding_window_view(padded, bins, axis=1)
-    lagged = np.ascontiguousarray(windows[:, ::-1].transpose(1, 0, 2))
-    # the top bin collects every count c with c + d >= bins - 1
-    suffix = np.cumsum(dist[:, ::-1], axis=1)
-    lagged[:, :, -1] = suffix.T
-    return power @ lagged.reshape(bins * states, bins)
+    # windows[j, d, c] = dist[j, c - d], zero for c < d
+    windows = np.lib.stride_tricks.sliding_window_view(padded, bins, axis=1)[:, ::-1]
+    width = min(bins, max(1, _LAGGED_SLAB_FLOATS // (bins * states)))
+    buffer = np.empty(bins * states * width)
+    out = np.empty((states, bins))
+    for start in range(0, bins, width):
+        stop = min(start + width, bins)  # the slab reads lags d < stop
+        lagged = buffer[: stop * states * (stop - start)].reshape(stop, states, -1)
+        lagged[...] = windows[:, :stop, start:stop].transpose(1, 0, 2)
+        if stop == bins:  # the top bin collects every count c with c + d >= bins - 1
+            lagged[:, :, -1] = np.cumsum(dist[:, ::-1], axis=1).T
+        out[:, start:stop] = power[:, : stop * states] @ lagged.reshape(stop * states, -1)
+    return out
 
 
 def enumerate_count_distribution(

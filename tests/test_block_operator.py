@@ -94,10 +94,45 @@ def test_block_operator_rows_with_several_emits_round_within_the_step_bound(monk
     np.testing.assert_allclose(fast, dense, rtol=0, atol=block * 2.0**-52)
 
 
-def test_a_wide_count_axis_keeps_the_block_path_out_of_memory(monkeypatch):
-    # each block would apply the power to a (bins, states, bins) lagged table:
-    # 69 MB at r_max = 1,500 over the 4 live states of this target
+def _dense_apply(power, dist):
+    """The block operator times the whole lagged table: lagged[d, j, c] =
+    dist[j, c - d], and the top bin holds the mass of every count of at
+    least bins - 1 - d, summed from the top."""
+    states, bins = dist.shape
+    lagged = np.zeros((bins, states, bins))
+    top = np.zeros(states)
+    for d in range(bins):
+        lagged[d, :, d:] = dist[:, : bins - d]
+        top += dist[:, bins - 1 - d]
+        lagged[d, :, -1] = top
+    return power @ lagged.reshape(bins * states, bins)
+
+
+@pytest.mark.parametrize("r_max", [0, 3, 64])
+@pytest.mark.parametrize("columns", [1, 2, 5, None], ids=["1", "2", "5", "all"])
+def test_slabs_of_count_columns_apply_the_block_operator(monkeypatch, r_max, columns):
+    system, target, horizon = _golden(8)
+    keep_op, emit_op, bins, block = _stationary_run(monkeypatch, system, target, horizon, r_max)
+    states = keep_op.shape[0]
+    power = returns._block_operator(keep_op, emit_op, bins, block)
+    dist = np.random.default_rng(r_max).random((states, bins))
+    dense = _dense_apply(power, dist)
+    monkeypatch.setattr(returns, "_LAGGED_SLAB_FLOATS", (columns or bins) * bins * states)
+    slabbed = returns._apply_block(power, dist)
+    if columns is None or columns >= bins:  # one slab: the dense product
+        np.testing.assert_array_equal(slabbed.view(np.int64), dense.view(np.int64))
+    else:
+        # every term is nonnegative, so each entry rounds by at most one unit
+        # in the last place per term
+        np.testing.assert_allclose(slabbed, dense, rtol=bins * states * 2.0**-52, atol=0)
+    assert dense[:, -1].any()  # the top bin is compared too
+
+
+def test_a_wide_count_axis_takes_the_block_path_in_bounded_memory(monkeypatch):
+    # the whole lagged table would be (bins, states, bins): 69 MB at
+    # r_max = 1,500 over the 4 live states of this target
     system = GibbsSystem(GOLDEN, Potential.constant(0.0, GOLDEN, depth=2))
+    target, horizon = (0, 0, 0, 0), 20_000
     applied = []
     apply_block = returns._apply_block
 
@@ -108,10 +143,18 @@ def test_a_wide_count_axis_keeps_the_block_path_out_of_memory(monkeypatch):
     monkeypatch.setattr(returns, "_apply_block", spy_apply)
     tracemalloc.start()
     try:
-        law = exact_count_distribution(system, None, (0, 0, 0, 0), 20_000, r_max=1_500)
+        law = exact_count_distribution(system, None, target, horizon, r_max=1_500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not applied
+    assert applied
     assert peak < 4 << 20
     assert abs(law.total() - 1.0) < 1e-9
+    applied.clear()
+    monkeypatch.setattr(returns, "_BLOCK_FLOATS_MAX", 0)
+    loop = exact_count_distribution(system, None, target, horizon, r_max=1_500)
+    assert not applied  # the plain loop
+    # the DP's rounding bound, L * 2**-52 over L = horizon + n positions
+    bound = (horizon + len(target)) * 2.0**-52
+    np.testing.assert_allclose(law.masses, loop.masses, rtol=0, atol=bound)
+    assert abs(law.tail_mass - loop.tail_mass) <= bound

@@ -62,6 +62,13 @@ def test_depth_one_chain_tables_are_the_symbol_masses(size, potential):
     assert prob[0].tolist() == [system.cylinder_mass((a,)) for a in range(size)]
 
 
+def test_chain_tables_are_built_once_per_system(coin_system):
+    tables = coin_system.chain_tables()
+    coin_system.dp_tables(None, (0, 1), 8, 0)
+    assert coin_system.chain_tables() is tables
+    assert not any(table.flags.writeable for table in tables)
+
+
 def test_bernoulli_depth_two_eigendata(coin_system):
     assert coin_system.perron.lam == pytest.approx(1.0, abs=1e-12)
     # conformal weights are the stationary one-symbol masses

@@ -6,11 +6,13 @@
 # REV's src/ is exported with git archive into a temporary directory.  With
 # each tree's src/ on PYTHONPATH, and the working tree's configs, it runs
 #   converge on configs/*.json, bench/configs/gibbs_markov.json,
-#            bench/configs/countable_mc.json (at --seed 0-9) and
+#            bench/configs/countable_mc.json (at --seed 0-9),
 #            tests/configs/long_tails.json (two-element environments whose
-#            long constant tails take the DP's block path, next to short ones)
-#            and tests/configs/one_environment.json (a product model's
-#            quenched DP on a single environment),
+#            long constant tails take the DP's block path, next to short ones),
+#            tests/configs/one_environment.json (a product model's
+#            quenched DP on a single environment) and
+#            tests/configs/wide_counts.json (a Gibbs run whose wide count axis
+#            takes the block path, its lagged table in slabs of count columns),
 #   theta    on configs/*.json, the two bench configs and one_environment.json,
 #   pa --t 2 --p 0.5, and selfcheck,
 # then compares every CSV and every stdout (with its exit status, and without
@@ -52,6 +54,8 @@ run_all() {
     run "$src" "$out" theta_countable_mc theta --config "$config"
     run "$src" "$out" converge_long_tails converge --config tests/configs/long_tails.json \
         --out "$out/converge_long_tails"
+    run "$src" "$out" converge_wide_counts converge --config tests/configs/wide_counts.json \
+        --out "$out/converge_wide_counts"
     config=tests/configs/one_environment.json
     run "$src" "$out" converge_one_environment converge --config "$config" \
         --out "$out/converge_one_environment"
