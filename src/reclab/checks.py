@@ -283,7 +283,7 @@ def check_psi_mixing(
     for a, b, k in itertools.product(words, words, k_list):
         pattern = a + (None,) * k + b
         # the marginal weights read no coordinate; the window sets the length
-        blank = Environment(window=np.zeros(len(pattern)), source_seed=0)
+        blank = Environment(window=np.zeros(len(pattern)))
         product = model.marginal_cylinder_mass(a) * model.marginal_cylinder_mass(b)
         joint = _pattern_mass(marginal, blank, pattern)
         worst_marginal = max(worst_marginal, _deviation(joint, product))

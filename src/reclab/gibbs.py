@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Environment, _seed_label, ratio_convergence
+from .models import Environment, ratio_convergence
 from .symbolic import PeriodicPoint, TransitionMatrix, _is_primitive, as_word
 
 __all__ = [
@@ -228,7 +228,12 @@ class GibbsSystem:
 
     Construction runs the full pipeline (transfer matrix, Perron data,
     potential normalisation, state weights); instances are immutable and
-    safe to share.
+    safe to share.  The pipeline runs on the potential less c, its largest
+    finite value: the shift leaves the normalised potential as it is, and
+    keeps every weight exp(value - c) at most 1, so a potential whose own
+    weights would overflow or vanish as floats still builds.  ``perron`` is
+    therefore the Perron data of that shifted matrix, whose eigenvalue is
+    lam * exp(-c); ``potential`` keeps the values as given.
     """
 
     # the fiber measure is the same on every environment
@@ -241,8 +246,10 @@ class GibbsSystem:
             potential = lift_potential(potential, transitions)
         self.potential = potential
         self.states = tuple(transitions.admissible_tuples(potential.depth - 1))
-        self.perron = perron_eigendata(build_transfer_matrix(potential, transitions), self.states)
-        self.normalized = normalize_potential(potential, self.perron)
+        c = max((v for v in potential.values.values() if math.isfinite(v)), default=0.0)
+        shifted = Potential(potential.depth, {w: v - c for w, v in potential.values.items()})
+        self.perron = perron_eigendata(build_transfer_matrix(shifted, transitions), self.states)
+        self.normalized = normalize_potential(shifted, self.perron)
         self.state_index = {s: i for i, s in enumerate(self.states)}
         self.state_masses = self.perron.h * self.perron.nu
         self.state_masses = self.state_masses / self.state_masses.sum()
@@ -392,9 +399,10 @@ class GibbsSystem:
         return np.broadcast_to(row, (length, len(row)))
 
     def draw_environment(self, window_length: int, seed) -> Environment:
+        del seed  # the measure does not depend on the environment
         window = np.zeros(window_length)
         window.setflags(write=False)
-        return Environment(window=window, source_seed=_seed_label(seed))
+        return Environment(window=window)
 
     def fiber_cylinder_mass(self, env, w, offset: int = 0) -> float:
         return self.cylinder_mass(w)

@@ -19,26 +19,23 @@ weights proportional to 1/(n log^{1+u} n) for n >= 3; the alphabet is
 truncated at a cutoff S for sampling, and the neglected mass is certified
 by an integral bound and carried around as ``tail_mass_bound``.
 
-Every product-fiber draw reads one partition of [0, 1) per position: the
-cumulative ``symbol_weight_matrix`` weights in alphabet order, from
-``_cumulative_weights``.  ``sample_words`` maps a uniform to the symbol
-whose interval holds it; past the last symbol lies ``SENTINEL_SYMBOL``
-when the alphabet is truncated (it never matches a cylinder), else that
-last symbol.  Monte Carlo and the cluster estimator on product fibers read
-the same partition up to the largest target symbol and draw each position
-straight into its class (a target symbol or "other"), never forming a word.
+Monte Carlo and the cluster estimator on product fibers draw each position
+straight into its class (a target symbol or "other") from one uniform and
+the cumulative ``symbol_weight_matrix`` weights in alphabet order
+(``sampling._class_bounds``); no product model resolves a sampled symbol.
 
 Environments are finite, explicitly sized windows of coordinates; reading
 past the window is an error, never a silent extension.
 
 Every model (``reclab.gibbs.GibbsSystem`` too) serves the engines through
-one protocol: ``validate_target``, ``alphabet`` (what ``sample_words``
-draws, complete when ``tail_mass_bound`` is 0.0), ``depth`` (1 for product
+one protocol: ``validate_target``, ``alphabet`` (what Monte Carlo can
+draw, complete when ``tail_mass_bound`` is 0.0), ``depth`` (1 for product
 fibers), ``environment_free``, ``dp_width`` (read before any table is
 built) and ``dp_tables`` (from a start position) for the exact DP and
 ``checks.check_psi_mixing``'s joint masses, ``symbol_weight_matrix``,
-``fiber_cylinder_mass``, ``marginal_cylinder_mass``, ``sample_words``,
-``draw_environment`` and ``theta_report`` (the lines of ``reclab theta``).
+``fiber_cylinder_mass``, ``marginal_cylinder_mass``, ``draw_environment``
+and ``theta_report`` (the lines of ``reclab theta``); a model of depth > 1
+also answers ``sample_words``, Monte Carlo's words there.
 A product model also answers ``marginal_symbol_weights(symbols)``, which
 ``MarginalModel`` reads; the base class's ``marginal_symbol_weight(s)`` is
 its scalar view.  ``ratio_convergence`` reads the marginal mass ratios
@@ -54,11 +51,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .symbolic import SENTINEL_SYMBOL, PeriodicPoint, as_word
+from .symbolic import PeriodicPoint, as_word
 
 __all__ = [
-    "Environment", "TwoElementModel", "CountableModel", "MarginalModel", "SENTINEL_SYMBOL",
-    "ratio_convergence",
+    "Environment", "TwoElementModel", "CountableModel", "MarginalModel", "ratio_convergence",
 ]
 
 # The countable-model normaliser G(u) is defined by
@@ -90,7 +86,8 @@ _BERNOULLI = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0)
 # temporaries stay at 2^14 floats however long the coordinate array
 _HEAD_ROWS = (1 << 14) // len(_HEAD)
 
-# sampling holds at most this many uniforms, and cumulative weights, at a time
+# marginal weights, and Monte Carlo's cumulative weights, are computed this
+# many cells at a time
 _SLAB_CELLS = 1 << 20
 
 
@@ -159,7 +156,6 @@ class Environment:
     """A finite window (w_0, ..., w_{L-1}) of driving coordinates."""
 
     window: np.ndarray
-    source_seed: int | str
 
     def __len__(self) -> int:
         return len(self.window)
@@ -212,7 +208,7 @@ class _ProductModelBase:
         rng = np.random.default_rng(seed)
         coords = self._draw_coordinates(rng, window_length)
         coords.setflags(write=False)
-        return Environment(window=coords, source_seed=_seed_label(seed))
+        return Environment(window=coords)
 
     def fiber_cylinder_mass(self, env: Environment, w, offset: int = 0) -> float:
         word = as_word(w)
@@ -248,66 +244,6 @@ class _ProductModelBase:
         rows = ratio_convergence(self, x, max(n_list))
         return [("theta", self.theta(x)),
                 ("ratio_max_deviation", max(dev for n, _, dev in rows if n in n_list))]
-
-    def sample_words(
-        self,
-        env: Environment,
-        start: int,
-        length: int,
-        trials: int,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """(trials, length) words from position ``start`` on: each position's
-        uniform draws the symbol of ``_cumulative_weights`` whose interval
-        holds it; past the last symbol lies the sentinel when the alphabet is
-        truncated, else that last symbol."""
-        past = SENTINEL_SYMBOL if self.tail_mass_bound > 0.0 else self.alphabet[-1]
-        symbols = np.append(np.asarray(self.alphabet), past)
-        u = rng.random((trials, length))
-        out = np.empty((trials, length), dtype=symbols.dtype)
-        for i, cum in _cumulative_weights(self, env, start, length, self.alphabet, _SLAB_CELLS):
-            for k, row in enumerate(cum[:, 1:], start=i):
-                out[:, k] = symbols[np.searchsorted(row, u[:, k], side="right")]
-        return out
-
-
-def _cumulative_weights(model, env: Environment, start: int, length: int, symbols, cells: int):
-    """The partition of [0, 1) that every product-fiber draw reads.
-
-    Yields (i, cum) per slab of at most ``cells`` weights: cum[k, c] is the
-    summed fiber weight of the first c of ``symbols`` at position
-    start + i + k (cum[:, 0] is 0), so a uniform u there draws symbols[c]
-    when cum[k, c] <= u < cum[k, c + 1].  Over a prefix of the alphabet the
-    sums are the first columns of those over the whole alphabet.
-    """
-    step = max(1, cells // len(symbols))
-    for i in range(0, length, step):
-        weights = model.symbol_weight_matrix(env, start + i, min(step, length - i), symbols)
-        cum = np.zeros((len(weights), len(symbols) + 1))
-        np.cumsum(weights, axis=1, out=cum[:, 1:])
-        yield i, cum
-
-
-def _seed_label(seed) -> int | str:
-    """Provenance of an environment's seed.
-
-    An integer seed labels itself.  A SeedSequence is labelled by its
-    entropy (low 32 bits) and, when it was spawned, its spawn key as well,
-    e.g. "1/3/0", so that environments spawned from one master seed keep
-    distinct labels.
-    """
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        ent = seed.entropy
-        if isinstance(ent, (int, np.integer)):
-            label = int(ent) & 0xFFFFFFFF
-        else:
-            label = int(ent[0]) & 0xFFFFFFFF if ent else 0
-        if seed.spawn_key:
-            return "/".join(str(int(v)) for v in (label, *seed.spawn_key))
-        return label
-    return 0
 
 
 class TwoElementModel(_ProductModelBase):
@@ -377,8 +313,8 @@ class CountableModel(_ProductModelBase):
 
     by comparison of the tail sum with the integral of 1/(x log^{1+eps} x).
     The family decays so slowly that no practical cutoff makes this bound
-    small; it is therefore reported, not hidden, and ``sample_words`` maps
-    tail draws to ``SENTINEL_SYMBOL`` (which never matches a target cylinder).
+    small; it is therefore reported, not hidden, and Monte Carlo counts a
+    draw past the cutoff as no target symbol.
     """
 
     def __init__(self, epsilon: float, alphabet_cutoff: int = 16384) -> None:

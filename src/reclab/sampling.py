@@ -3,23 +3,23 @@ The Monte Carlo engine: the empirical law of the return count over sampled
 fiber words.
 
 On product fibers each position is drawn straight into its class (which
-distinct target symbol, or none), from the same uniforms and the same
-partition (``models._cumulative_weights``) as ``sample_words``, each run of
+distinct target symbol, or none): its uniform is compared with the
+cumulative fiber weights in alphabet order (``_class_bounds``), each run of
 ``_STREAM_ROWS`` rows from its own child stream of the seed.
 ``_sampled_classes`` yields class masks in slabs of ``_MC_SLAB_FLOATS``
 uniforms, and ``returns._window_mask`` marks where the target occurs in
 them; the cluster estimator ``checks.theta_cluster_estimate`` reads them
 too.  The engine checks the target as the others do
-(``returns._checked_target``) and reads ``alphabet``, then
-``symbol_weight_matrix`` and ``tail_mass_bound`` at depth 1,
-``sample_words`` at depth > 1.
+(``returns._checked_target``) and reads ``alphabet`` (what it can draw),
+then ``symbol_weight_matrix`` and ``tail_mass_bound`` at depth 1,
+``sample_words`` at depth > 1, the only depth that needs it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .models import _SLAB_CELLS, Environment, _cumulative_weights
+from .models import _SLAB_CELLS, Environment
 from .polya_aeppli import CountDistribution
 from .returns import DEFAULT_R_MAX, _checked_target, _window_mask
 
@@ -87,13 +87,12 @@ def _sampled_classes(model, env: Environment, tw, horizon: int, trials: int, see
 
     At depth 1 a return needs only the class of each position: which
     distinct target symbol, if any, sits there.  Each position is drawn from
-    one uniform, so the class masks come from the uniforms of ``sample_words``'
-    own streams compared with the intervals of ``_class_bounds``; no other
-    symbol is resolved.  Slabs of about ``_MC_SLAB_FLOATS`` uniforms reuse
-    one uniforms and one mask buffer (with a last, scratch plane when some
-    class needs a lower test); each consumer reduces a slab before it asks
-    for the next.  At depth > 1 the masks compare ``sample_words``' words
-    with each distinct target symbol.
+    one uniform, so the class masks come from the uniforms compared with the
+    intervals of ``_class_bounds``; no other symbol is resolved.  Slabs of
+    about ``_MC_SLAB_FLOATS`` uniforms reuse one uniforms and one mask buffer
+    (with a last, scratch plane when some class needs a lower test); each
+    consumer reduces a slab before it asks for the next.  At depth > 1 the
+    masks compare ``sample_words``' words with each distinct target symbol.
     """
     length = horizon + len(tw)
     distinct = sorted(set(tw), key=model.alphabet.index)
@@ -127,18 +126,24 @@ def _class_bounds(model, env: Environment, distinct, length: int):
     """(lo, hi), each (len(distinct), length): a uniform u at position i draws
     symbol s_j = distinct[j] when lo[j, i] <= u < hi[j, i].
 
-    These are the bounds of s_j's interval in the partition
-    ``_cumulative_weights`` gives ``sample_words``, read only over the
-    alphabet prefix up to the largest target symbol; hi is 1 when s_j is
-    the last symbol of a complete alphabet, where ``sample_words`` draws it
-    past the last sum too.
+    The bounds partition [0, 1) by the cumulative fiber weights in alphabet
+    order, summed only over the alphabet prefix up to the largest target
+    symbol (they are the first columns of the sums over the whole alphabet),
+    a slab of at most ``_SLAB_CELLS`` weights at a time.  hi is 1 when s_j
+    is the last symbol of a complete alphabet, which then also takes what
+    rounding leaves past the last sum.
     """
     alphabet = model.alphabet
     prefix = alphabet[: alphabet.index(distinct[-1]) + 1]
     columns = [prefix.index(s) for s in distinct]
     lo = np.empty((len(distinct), length))
     hi = np.empty((len(distinct), length))
-    for a, cum in _cumulative_weights(model, env, 0, length, prefix, _SLAB_CELLS):
+    step = max(1, _SLAB_CELLS // len(prefix))
+    for a in range(0, length, step):
+        weights = model.symbol_weight_matrix(env, a, min(step, length - a), prefix)
+        # cum[k, c] sums the weights of the first c symbols of the prefix
+        cum = np.zeros((len(weights), len(prefix) + 1))
+        np.cumsum(weights, axis=1, out=cum[:, 1:])
         lo[:, a : a + len(cum)] = cum[:, columns].T
         hi[:, a : a + len(cum)] = cum[:, [c + 1 for c in columns]].T
     if model.tail_mass_bound == 0.0 and distinct[-1] == alphabet[-1]:

@@ -20,25 +20,15 @@ __all__ = [
     "Word",
     "PeriodicPoint",
     "TransitionMatrix",
-    "SENTINEL_SYMBOL",
     "as_word",
     "minimal_period",
     "self_overlaps",
 ]
 
-# Stand-in symbol for "some symbol beyond the sampling cutoff" in words
-# sampled from countable-alphabet models.  Negative, so it never equals a
-# symbol of a target cylinder.
-SENTINEL_SYMBOL = -1
-
-
 @dataclass(frozen=True)
 class Word:
-    """An immutable finite word over the natural numbers.
-
-    The sentinel symbol is tolerated in sampled words; everything else must
-    be a nonnegative integer.
-    """
+    """An immutable finite word over the natural numbers: every symbol is a
+    nonnegative integer."""
 
     symbols: tuple[int, ...]
 
@@ -46,8 +36,7 @@ class Word:
         if len(self.symbols) == 0:
             raise ValueError("words must be nonempty")
         for s in self.symbols:
-            if (isinstance(s, bool) or not isinstance(s, (int, np.integer))
-                    or (s < 0 and s != SENTINEL_SYMBOL)):
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
                 raise ValueError(f"symbols must be nonnegative integers, got {s!r}")
         object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
 

@@ -257,12 +257,11 @@ def _golden_mean_potential(potential):
          "countable model symbols start at 3"),
         (lambda doc: {**doc, "model": GOLDEN_MEAN_MODEL, "point": {"generator": "1"}},
          "periodic orbit '1' is not admissible"),
-        (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": 1000})},
-         "potential value 1000.0 at word (0, 0) has weight exp(value) = inf"),
-        (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": 709})},
-         "Perron eigendata did not reach the required residual: nan"),
-        (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": -744})},
-         "Perron eigendata did not reach the required residual"),
+        (lambda doc: {**doc, "model": GOLDEN_MEAN_MODEL, "point": {"generator": [-1, 0]}},
+         "symbols must be nonnegative integers, got -1"),
+        (lambda doc: {**doc, "model": _golden_mean_potential(
+            {"depth": 2, "values": {"00": 800.0, "01": 0.0, "10": 0.0}})},
+         "potential value -800.0 at word (0, 1) has weight exp(value) = 0.0"),
         (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": math.nan})},
          "potential value nan at word (0, 0) has weight exp(value) = nan"),
         (lambda doc: {**doc, "model": _golden_mean_potential({"depth": 2, "constant": math.inf})},
@@ -279,9 +278,9 @@ def _golden_mean_potential(potential):
          "model.potential.bernoulli must be a list"),
     ],
     ids=["transitions-257", "transitions-half", "generator-bool", "two-element-symbol-5",
-         "countable-symbol-2", "golden-mean-orbit-1", "constant-1000", "constant-709",
-         "constant-minus-744", "constant-nan", "constant-infinity", "constant-without-depth",
-         "values-without-depth", "no-values", "bernoulli-not-list"],
+         "countable-symbol-2", "golden-mean-orbit-1", "golden-mean-symbol-minus-1",
+         "values-800-below-the-largest", "constant-nan", "constant-infinity",
+         "constant-without-depth", "values-without-depth", "no-values", "bernoulli-not-list"],
 )
 def test_config_values_the_model_cannot_carry_are_fatal(tmp_path, capsys, replace, message):
     config = _write_config(tmp_path, replace(CANONICAL_CONFIG))
@@ -289,8 +288,24 @@ def test_config_values_the_model_cannot_carry_are_fatal(tmp_path, capsys, replac
         load_config(config)
     out = tmp_path / "run"
     assert main(["converge", "--config", str(config), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
     assert not (out / "quenched.csv").exists()
+
+
+@pytest.mark.parametrize("constant", [300.0, 709.0, -744.0, 1000.0],
+                         ids=["constant-300", "constant-709", "constant-minus-744", "constant-1000"])
+def test_a_constant_potential_prints_the_theta_of_constant_zero(tmp_path, capsys, constant):
+    # the weights are exp(value - the largest value), so every constant
+    # potential builds the transfer matrix of constant 0, bit for bit
+    printed = []
+    for value in (0.0, constant):
+        doc = {**CANONICAL_CONFIG, "model": _golden_mean_potential({"depth": 2, "constant": value})}
+        assert main(["theta", "--config", str(_write_config(tmp_path, doc))]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[1] == printed[0]
+    assert printed[0].startswith("theta 0.61803398874989")
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,9 @@ def test_chain_tables_are_built_once_per_system(coin_system):
 
 
 def test_bernoulli_depth_two_eigendata(coin_system):
-    assert coin_system.perron.lam == pytest.approx(1.0, abs=1e-12)
+    # the Perron data is that of exp(value - log 0.7), the largest value
+    # subtracted: weights 3/7 and 1 in place of 0.3 and 0.7, so lam = 1 / 0.7
+    assert coin_system.perron.lam == pytest.approx(1.0 / 0.7, abs=1e-12)
     # conformal weights are the stationary one-symbol masses
     assert coin_system.perron.nu == pytest.approx(np.array([0.3, 0.7]), abs=1e-12)
     assert coin_system.perron.h == pytest.approx(np.array([1.0, 1.0]), abs=1e-10)
@@ -115,7 +117,7 @@ def test_power_iteration_path():
 def test_a_128_state_system_is_the_product_measure():
     system = GibbsSystem(TransitionMatrix.full(2), bernoulli_potential([0.3, 0.7], depth=8))
     assert len(system.states) == 128
-    assert system.perron.lam == pytest.approx(1.0, abs=1e-12)
+    assert system.perron.lam == pytest.approx(1.0 / 0.7, abs=1e-12)  # lam * exp(-log 0.7)
     for word in [(0,), (1, 0, 1), (0, 0, 1, 1, 1, 0, 1), (1,) * 8, (0, 1) * 6]:
         product = math.prod(0.7 if a else 0.3 for a in word)
         assert system.cylinder_mass(word) == pytest.approx(product, rel=1e-12)
@@ -125,6 +127,28 @@ def test_a_128_state_system_is_the_product_measure():
 def test_build_refuses_weights_that_are_not_positive_finite_floats(golden, value):
     with pytest.raises(ValueError, match=r"at word \(0, 0\) has weight exp\(value\)"):
         build_transfer_matrix(Potential.constant(value, golden, depth=2), golden)
+
+
+def test_shifted_potentials_build_the_same_system(golden, golden_system):
+    # the largest value is subtracted before exponentiating: every constant
+    # builds the system of constant 0, bit for bit, where exp(value) alone
+    # would overflow (709, 1000), vanish (-746) or lose digits (300)
+    point = PeriodicPoint(Word((0, 1)))
+    for constant in (300.0, 709.0, 1000.0, -744.0, -746.0):
+        system = GibbsSystem(golden, Potential.constant(constant, golden, depth=2))
+        assert system.perron.lam == golden_system.perron.lam
+        assert system.theta(point) == golden_system.theta(point)
+        assert system.normalized.values == golden_system.normalized.values
+        assert system.state_masses.tolist() == golden_system.state_masses.tolist()
+        assert system.potential.values[(0, 0)] == constant
+    # a non-constant shift leaves the normalised potential, up to rounding
+    values = {(0, 0): 0.1, (0, 1): -0.4, (1, 0): 0.25}
+    base = GibbsSystem(golden, Potential(2, values))
+    for shift in (0.7, 720.0, -760.0):
+        moved = GibbsSystem(golden, Potential(2, {w: v + shift for w, v in values.items()}))
+        assert moved.theta(point) == pytest.approx(base.theta(point), rel=1e-13)
+        for word in ["0", "01", "0010", "10100"]:
+            assert moved.cylinder_mass(word) == pytest.approx(base.cylinder_mass(word), rel=1e-13)
 
 
 def test_build_rejects_non_mixing():

@@ -41,6 +41,8 @@ from reclab import (
     run_quenched,
     theta_cluster_estimate,
 )
+from reclab import sampling
+from word_sampler import sampled_words
 
 
 class ToyModel:
@@ -54,7 +56,7 @@ class ToyModel:
 
     def draw_environment(self, window_length, seed):
         rng = np.random.default_rng(seed)
-        return Environment(window=rng.random(window_length), source_seed=seed)
+        return Environment(window=rng.random(window_length))
 
     def validate_target(self, target):
         tw = as_word(target).symbols
@@ -77,11 +79,6 @@ class ToyModel:
         # one chain state and every symbol in its own column, none lumped
         weights = self.symbol_weight_matrix(env, start, length - start, self.alphabet)
         return list(self.alphabet), [()], [1.0], weights[:, :, None, None]
-
-    def sample_words(self, env, start, length, trials, rng):
-        cdf = np.cumsum(self.symbol_weight_matrix(env, start, length, self.alphabet), axis=1)
-        u = rng.random((trials, length, 1))
-        return np.minimum((u >= cdf[None]).sum(axis=2), 2)
 
 
 @pytest.mark.parametrize("target, horizon", [((0, 2), 8), ((2, 2, 2), 7), ((1, 0, 1), 6)])
@@ -138,9 +135,13 @@ def test_toy_model_runs_a_quenched_experiment_over_several_environments():
 def test_marginal_model_of_the_toy_samples_and_runs_the_dp():
     marg = MarginalModel(ToyModel())
     env = marg.draw_environment(40, 2)
-    words = marg.sample_words(env, 0, 40, 5_000, np.random.default_rng(4))
+    # Monte Carlo's class masks of the three symbols, over 5,000 rows of 40
+    counts = np.zeros(3)
+    for hits, _ in sampling._sampled_classes(marg, env, (0, 1, 2), 37, 5_000, 4):
+        counts += hits[:3].sum(axis=(1, 2))
+    cells = 5_000 * 40
     for s, p in enumerate((0.25, 0.25, 0.5)):
-        assert abs((words == s).mean() - p) <= 4 * math.sqrt(p * (1 - p) / words.size)
+        assert abs(counts[s] / cells - p) <= 4 * math.sqrt(p * (1 - p) / cells)
     dp = exact_count_distribution(marg, env, (2, 0), 30, r_max=30)
     assert dp.mean() == pytest.approx(30 * 0.5 * 0.25, abs=1e-12)
 
@@ -252,7 +253,7 @@ def test_marginal_dp_is_the_average_of_the_quenched_dp_laws(alpha, beta, driving
     length = horizon + len(target)
     average = np.zeros(horizon + 1)
     for coins in itertools.product((0, 1), repeat=length):
-        env = Environment(window=np.array(coins, dtype=np.int8), source_seed="exhaustive")
+        env = Environment(window=np.array(coins, dtype=np.int8))
         ones = sum(coins)
         weight = driving_p ** (length - ones) * (1.0 - driving_p) ** ones
         law = exact_count_distribution(model, env, target, horizon, r_max=horizon)
@@ -296,7 +297,7 @@ def test_theta_estimate_matches_the_match_matrix(model, target, period):
     horizon, trials = 150, 1_500  # one sampling chunk: one child stream of the seed
     est = theta_cluster_estimate(model, env, target, period, horizon, trials, seed=1)
     child = np.random.SeedSequence(1).spawn(1)[0]
-    words = model.sample_words(env, 0, horizon + len(target), trials, np.random.default_rng(child))
+    words = sampled_words(model, env, horizon + len(target), trials, np.random.default_rng(child))
     match = np.ones((trials, horizon), dtype=bool)
     for d, s in enumerate(target):
         match &= words[:, 1 + d : 1 + d + horizon] == s

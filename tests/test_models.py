@@ -12,8 +12,10 @@ from reclab import (
     TwoElementModel,
     Word,
     check_psi_mixing,
+    monte_carlo_count_distribution,
 )
-from reclab.models import _NORMALIZER_TERMS, SENTINEL_SYMBOL, _normalizers, ratio_convergence
+from reclab import sampling
+from reclab.models import _NORMALIZER_TERMS, _normalizers, ratio_convergence
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +26,16 @@ def two_elt():
 @pytest.fixture(scope="module")
 def countable():
     return CountableModel(epsilon=0.5, alphabet_cutoff=2048)
+
+
+def _class_frequencies(model, env, symbols, length: int, trials: int, seed) -> np.ndarray:
+    """(len(symbols), length): the fraction of Monte Carlo's ``trials`` rows
+    that draw each of ``symbols`` (in alphabet order) at each position."""
+    counts = np.zeros((len(symbols), length))
+    for hits, _ in sampling._sampled_classes(model, env, symbols, length - len(symbols),
+                                              trials, seed):
+        counts += hits[: len(symbols)].sum(axis=1)
+    return counts / trials
 
 
 def test_constructor_validation():
@@ -51,7 +63,7 @@ def test_driving_frequency(two_elt):
 
 
 def test_fiber_cylinder_mass(two_elt):
-    env = Environment(window=np.array([0, 1, 0, 0], dtype=np.int8), source_seed=0)
+    env = Environment(window=np.array([0, 1, 0, 0], dtype=np.int8))
     assert two_elt.fiber_cylinder_mass(env, "00", 0) == pytest.approx(0.21)
     # weight of symbol 0 is alpha on coordinate 0, beta on coordinate 1
     assert two_elt.fiber_cylinder_mass(env, "0", 1) == pytest.approx(0.7)
@@ -73,7 +85,7 @@ def test_window_overflow_is_an_error(two_elt):
     with pytest.raises(ValueError):
         two_elt.fiber_cylinder_mass(env, "000", 3)
     with pytest.raises(ValueError):
-        two_elt.sample_words(env, 2, 4, 10, np.random.default_rng(0))
+        monte_carlo_count_distribution(two_elt, env, "0", 5, trials=10, seed=0)
 
 
 def test_marginal_weights(two_elt):
@@ -150,10 +162,8 @@ def test_ratio_convergence_rows_of_product_models_equal_theta(model, generator):
 
 def test_fiber_sampling_frequencies(two_elt):
     env = two_elt.draw_environment(20, 3)
-    rng = np.random.default_rng(0)
-    words = two_elt.sample_words(env, 0, 20, 40_000, rng)
+    freq0 = _class_frequencies(two_elt, env, (0,), 20, 40_000, seed=0)[0]
     p0 = two_elt.symbol_weight_matrix(env, 0, 20, [0])[:, 0]
-    freq0 = (words == 0).mean(axis=0)
     band = 4 * np.sqrt(p0 * (1 - p0) / 40_000)
     assert np.all(np.abs(freq0 - p0) <= band + 1e-9)
 
@@ -166,9 +176,9 @@ def test_degenerate_weights_ignore_the_environment():
     wa = flat.symbol_weight_matrix(env_a, 0, 16, [0, 1])
     wb = flat.symbol_weight_matrix(env_b, 0, 16, [0, 1])
     assert np.array_equal(wa, wb)
-    words_a = flat.sample_words(env_a, 0, 16, 100, np.random.default_rng(3))
-    words_b = flat.sample_words(env_b, 0, 16, 100, np.random.default_rng(3))
-    assert np.array_equal(words_a, words_b)
+    law_a = monte_carlo_count_distribution(flat, env_a, "01", 14, trials=100, seed=3)
+    law_b = monte_carlo_count_distribution(flat, env_b, "01", 14, trials=100, seed=3)
+    assert (law_a.masses, law_a.tail_mass) == (law_b.masses, law_b.tail_mass)
 
 
 def test_marginal_is_environment_average(two_elt):
@@ -214,7 +224,7 @@ def test_countable_weights_are_stochastic(countable):
     for u in (0.5, 0.62, 0.99):
         grid = np.arange(3, countable.alphabet_cutoff + 1)
         w = countable.symbol_weight_matrix(
-            Environment(window=np.array([u]), source_seed=0), 0, 1, grid
+            Environment(window=np.array([u])), 0, 1, grid
         )[0]
         truncated = float(w.sum())
         assert truncated < 1.0
@@ -269,16 +279,15 @@ def test_countable_environment_support(countable):
     assert env.window.max() <= 1.0
 
 
-def test_countable_sampling_and_sentinel(countable):
+def test_countable_sampling_leaves_the_tail_to_no_symbol(countable):
     env = countable.draw_environment(8, 2)
-    rng = np.random.default_rng(4)
-    words = countable.sample_words(env, 0, 8, 5_000, rng)
-    valid = (words >= 3) & (words <= countable.alphabet_cutoff)
-    sentinel = words == SENTINEL_SYMBOL
-    assert np.all(valid | sentinel)
-    assert sentinel.mean() > 0.0  # heavy tail: the sentinel does appear
+    # the cutoff symbol's interval ends at the truncated sum, short of 1: a
+    # uniform past it draws no symbol of the alphabet
+    _, hi = sampling._class_bounds(countable, env, [countable.alphabet_cutoff], 8)
+    assert np.all(hi[0] < 1.0)
+    assert np.all(1.0 - hi[0] <= countable.tail_mass_bound)
+    freq3 = _class_frequencies(countable, env, (3,), 8, 5_000, seed=4)[0]
     w3 = countable.symbol_weight_matrix(env, 0, 8, [3])[:, 0]
-    freq3 = (words == 3).mean(axis=0)
     assert np.all(np.abs(freq3 - w3) <= 4 * np.sqrt(w3 * (1 - w3) / 5_000))
 
 
@@ -297,8 +306,7 @@ def test_marginal_model_matches_marginal(two_elt):
 def test_marginal_model_sampling(two_elt):
     marg = MarginalModel(two_elt)
     env = marg.draw_environment(6, 0)
-    words = marg.sample_words(env, 0, 6, 50_000, np.random.default_rng(2))
-    freq0 = (words == 0).mean()
+    freq0 = _class_frequencies(marg, env, (0,), 6, 50_000, seed=2).mean()
     assert abs(freq0 - 0.5) <= 4 * math.sqrt(0.25 / (50_000 * 6))
 
 
@@ -369,22 +377,21 @@ def test_vector_marginal_weights_are_the_scalar_ones(monkeypatch):
     assert np.array_equal(row, np.tile(vector, (3, 1)))
 
 
-def test_marginal_cumulative_weights_are_the_tiled_cumsum():
-    from reclab.models import _cumulative_weights
-
+def test_marginal_cumulative_weights_are_the_tiled_cumsum(monkeypatch):
+    # the class bounds are the cumulative weights Monte Carlo draws from
     base = CountableModel(0.5, alphabet_cutoff=256)
     model = MarginalModel(base)
-    env = model.draw_environment(40, 0)
-    symbols = model.alphabet
-    tiled = np.tile(base.marginal_symbol_weights(symbols), (30, 1))
-    slabs = list(_cumulative_weights(model, env, 3, 30, symbols, cells=1000))
-    assert [i for i, _ in slabs] == list(range(0, 30, 1000 // len(symbols)))
-    cum = np.concatenate([c for _, c in slabs])
-    assert cum.shape == (30, len(symbols) + 1)
-    assert (cum[:, 0] == 0.0).all()
-    assert np.array_equal(cum[:, 1:], np.cumsum(tiled, axis=1))
+    env = model.draw_environment(30, 0)
+    symbols = list(model.alphabet)
+    cum = np.cumsum(np.tile(base.marginal_symbol_weights(symbols), (30, 1)), axis=1)
+    monkeypatch.setattr(sampling, "_SLAB_CELLS", 1000)  # slabs of 10, then 3, positions
+    # a prefix of the alphabet, and the whole of it (the truncated tail keeps hi < 1)
+    for distinct in ([3, 7, 100], [5, 256]):
+        columns = [symbols.index(s) for s in distinct]
+        lo, hi = sampling._class_bounds(model, env, distinct, 30)
+        starts = np.column_stack([np.zeros(30), cum])[:, columns]
+        assert np.array_equal(lo, starts.T)
+        assert np.array_equal(hi, cum[:, columns].T)
     # the weights stay bound to the environment's window
     with pytest.raises(ValueError, match="window overflow"):
-        model.symbol_weight_matrix(env, 30, 11, symbols)
-    with pytest.raises(ValueError, match="window overflow"):
-        list(_cumulative_weights(model, env, 30, 11, symbols, cells=1000))
+        sampling._class_bounds(model, env, [3], 31)

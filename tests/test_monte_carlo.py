@@ -1,14 +1,14 @@
 """Monte Carlo on product fibers draws classes, not symbols.
 
 At depth 1 each position's uniform is mapped straight to its class (which
-distinct target symbol, or none).  Over the same streams and the same
-partition as ``sample_words`` this must give the law of the sampled words
-bit for bit, whatever the slab size: every sampled symbol lies in the class
-its uniform falls in.  At depth > 1 the class masks compare the sampled
-words themselves, with the same result.  The vectorised window counter and
-the cluster estimator must keep the integers of the streaming window masks,
-and countable Monte Carlo must agree with the exact DP within its sampling
-error.
+distinct target symbol, or none).  Over the same streams this must give
+the law of the words that ``word_sampler.sampled_words`` resolves from the
+whole alphabet's cumulative weights, bit for bit, whatever the slab size:
+every sampled symbol lies in the class its uniform falls in.  At depth > 1
+the class masks compare the sampled words themselves, with the same
+result.  The vectorised window counter and the cluster estimator must keep
+the integers of the streaming window masks, and countable Monte Carlo must
+agree with the exact DP within its sampling error.
 """
 
 import numpy as np
@@ -29,6 +29,7 @@ from reclab import (
 )
 from reclab import sampling
 from reclab.returns import _window_counts
+from word_sampler import sampled_words
 
 TWO = TwoElementModel(0.3, 0.7, 0.5)
 COUNTABLE = CountableModel(0.5, alphabet_cutoff=64)
@@ -67,14 +68,14 @@ def _window_matches(words, target, horizon: int):
 
 
 def _sampled_words(model, env, length: int, trials: int, seed):
-    """``sample_words``' words over Monte Carlo's streams, one child stream of
+    """``sampled_words`` over Monte Carlo's streams, one child stream of
     ``seed`` (``sampling._STREAM_ROWS`` rows) at a time."""
     for take, rng in sampling._chunk_streams(trials, seed):
-        yield model.sample_words(env, 0, length, take, rng)
+        yield sampled_words(model, env, length, take, rng)
 
 
 def _law_of_sampled_words(model, env, target, seed):
-    """The law over ``sample_words``' words, counted by the window masks."""
+    """The law over ``sampled_words``, counted by the window masks."""
     hist = np.zeros(R_MAX + 2, dtype=np.int64)
     length = HORIZON + len(target)
     for words in _sampled_words(model, env, length, TRIALS, seed):
@@ -138,7 +139,7 @@ def test_sampled_symbols_fall_in_the_class_of_their_uniform(model, target):
     env = model.draw_environment(length, 5)
     distinct = sorted(set(target), key=model.alphabet.index)
     lo, hi = sampling._class_bounds(model, env, distinct, length)
-    words = model.sample_words(env, 0, length, trials, np.random.default_rng(1))
+    words = sampled_words(model, env, length, trials, np.random.default_rng(1))
     u = np.random.default_rng(1).random((trials, length))
     for j, s in enumerate(distinct):
         assert np.array_equal(words == s, (u >= lo[j]) & (u < hi[j]))

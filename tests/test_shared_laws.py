@@ -1,4 +1,4 @@
-"""Laws shared across environments, sampler-cutoff targets and environment provenance."""
+"""Laws shared across environments and sampler-cutoff targets."""
 
 import pytest
 
@@ -18,7 +18,6 @@ from reclab import (
     run_quenched,
 )
 from reclab import experiments
-from reclab.experiments import environment_seed
 
 GOLDEN = TransitionMatrix([[1, 1], [1, 0]])
 
@@ -103,20 +102,3 @@ def test_monte_carlo_rejects_targets_above_the_cutoff():
     # the cutoff symbol itself is still sampled
     mc = monte_carlo_count_distribution(model, env, (16,), 10, trials=100, seed=0)
     assert mc.total() == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        TwoElementModel(0.3, 0.7, 0.5),
-        CountableModel(0.5, alphabet_cutoff=64),
-        GibbsSystem(GOLDEN, Potential.constant(0.0, GOLDEN, depth=2)),
-    ],
-    ids=["two-element", "countable", "gibbs"],
-)
-def test_environment_provenance_names_the_spawn_key(model):
-    env0 = model.draw_environment(8, environment_seed(5, 0))
-    env1 = model.draw_environment(8, environment_seed(5, 1))
-    assert env0.source_seed != env1.source_seed
-    assert env0.source_seed == "5/0/0"
-    assert model.draw_environment(8, 42).source_seed == 42

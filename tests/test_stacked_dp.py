@@ -72,7 +72,7 @@ def _two_element_envs(length):
     windows[1][length - 300 :] = 1  # a long constant tail
     windows[2][length - 3 :] = 0
     windows[3][-1] = 1 - windows[3][-2]  # changes at the last position
-    return [Environment(window=w, source_seed=i) for i, w in enumerate(windows)]
+    return [Environment(window=w) for w in windows]
 
 
 def test_two_element_steady_positions_differ_and_one_tail_takes_blocks(monkeypatch):
@@ -136,8 +136,8 @@ def test_a_short_stack_of_tables_holds_its_last_for_every_later_position(windows
     # at position 8, so the model gives 1 to 3 tables where the DP steps 8
     target, horizon = (0,) * 8, 40
     full, short = TwoElementModel(0.3, 0.7, 0.5), ShortStackModel(0.3, 0.7, 0.5)
-    envs = [Environment(window=np.array(w + (w[-1],) * (horizon + 5), dtype=np.int8), source_seed=i)
-            for i, w in enumerate(windows)]
+    envs = [Environment(window=np.array(w + (w[-1],) * (horizon + 5), dtype=np.int8))
+            for w in windows]
     assert {len(short.dp_tables(env, target, horizon + 8)[3]) for env in envs} >= {3}
     stacked = exact_count_distributions(short, envs, target, horizon, r_max=12)
     _assert_same_bits(stacked, exact_count_distributions(full, envs, target, horizon, r_max=12))
@@ -168,7 +168,7 @@ def test_an_environment_with_a_zero_weight_steps_on_its_own_states(monkeypatch):
     target, horizon = (0, 2, 0), 40
     rng = np.random.default_rng(2)
     windows = [rng.random(horizon + 3), np.zeros(horizon + 3), rng.random(horizon + 3)]
-    envs = [Environment(window=w, source_seed=i) for i, w in enumerate(windows)]
+    envs = [Environment(window=w) for w in windows]
     stacks = []
     stack_steps = returns._stack_steps
 
@@ -206,7 +206,7 @@ def test_an_over_budget_stack_is_refused_before_any_table_or_draw(monkeypatch):
     monkeypatch.setattr(type(model), "dp_tables", lambda *a: built.append(a) or dp_tables(*a))
     monkeypatch.setattr(type(model), "draw_environment",
                         lambda *a: drawn.append(a) or draw(*a))
-    envs = [Environment(window=np.zeros(30, dtype=np.int8), source_seed=i) for i in range(3)]
+    envs = [Environment(window=np.zeros(30, dtype=np.int8)) for _ in range(3)]
     with pytest.raises(BudgetError, match="exact DP needs"):
         exact_count_distributions(model, envs, (0,) * 6, 24, r_max=8, budget_cells=1000)
     assert built == []

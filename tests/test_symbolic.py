@@ -144,6 +144,12 @@ def test_words_refuse_bool_symbols():
         Word((True, False))
 
 
+def test_words_refuse_negative_symbols():
+    # a negative symbol would index a transition matrix from its end
+    with pytest.raises(ValueError, match="got -1"):
+        Word((-1,))
+
+
 def test_orbit_admissibility_wraps_around():
     golden = TransitionMatrix([[1, 1], [1, 0]])
     assert golden.orbit_is_admissible(PeriodicPoint(Word((0, 1))))
