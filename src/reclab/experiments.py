@@ -163,7 +163,6 @@ class QuenchedRow:
 @dataclass(frozen=True, eq=False)
 class QuenchedResult:
     env_index: int
-    environment: object
     rows: tuple[QuenchedRow, ...]
 
 
@@ -293,10 +292,7 @@ def run_quenched(config: ExperimentConfig) -> list[QuenchedResult]:
                     tables[dist.r_max] = pa_pmf_table(params, r_max=dist.r_max)
                 env_rows.append(_compare(config, n, engine, horizon, theta, dist,
                                          tables[dist.r_max]))
-    return [
-        QuenchedResult(env_index=i, environment=env, rows=tuple(env_rows))
-        for i, (env, env_rows) in enumerate(zip(envs, rows))
-    ]
+    return [QuenchedResult(env_index=i, rows=tuple(env_rows)) for i, env_rows in enumerate(rows)]
 
 
 def run_annealed(

@@ -157,13 +157,27 @@ def build_transfer_matrix(potential: Potential, transitions: TransitionMatrix) -
     return mat
 
 
+# ``perron_eigendata`` squares until two squares agree to this many units in
+# the last place per term of their products (so to the rounding of one
+# squaring), and refuses a matrix whose squares have not by the cap
+_SETTLED_ULPS = 4
+_SQUARINGS_MAX = 64
+
+
 def perron_eigendata(matrix, states=None) -> PerronData:
     """Leading eigenvalue and positive left/right eigenvectors.
 
-    One dense eigensolve of the matrix and of its transpose; the relative
-    residual of both eigenvectors is checked to 1e-10 (NaN fails the check).
-    ``states`` name the rows, (i,) by default; ``normalize_potential`` reads
-    them, so a ``build_transfer_matrix`` result takes its states along.
+    The matrix is scaled by its largest entry and squared, rescaled the same
+    way each time, until a square agrees with the one before it to
+    ``_SETTLED_ULPS`` units in the last place: for a primitive matrix the
+    squares tend to the rank-one limit nu h^T.  nu is the limit's column and
+    h its row through its largest entry, both positive; lam is h M nu / h nu
+    on the matrix as given.  A matrix whose squares have not settled after
+    ``_SQUARINGS_MAX`` squarings (an exponent of 2**64), one close to
+    reducible, is refused.  The relative residual of both eigenvectors is
+    checked to 1e-10 (NaN fails the check).  ``states`` name the rows, (i,)
+    by default; ``normalize_potential`` reads them, so a
+    ``build_transfer_matrix`` result takes its states along.
     """
     mat = np.asarray(matrix, dtype=float)
     if states is None:
@@ -178,9 +192,28 @@ def perron_eigendata(matrix, states=None) -> PerronData:
             f"{mat.shape[0] ** 2}); Perron data is not well defined"
         )
 
-    lam, nu = _dense_leading(mat)
-    lam2, h = _dense_leading(mat.T)
-    lam = 0.5 * (lam + lam2)
+    power = mat / mat.max()
+    for _ in range(_SQUARINGS_MAX):
+        # the square's largest entry is at least the largest entry of row b
+        # and of column a, (a, b) the power's largest entry: the left factor
+        # is divided by that bound, so that no product of a power whose
+        # eigenvectors are scaled far apart underflows before the rescaling
+        a, b = np.unravel_index(np.argmax(power), power.shape)
+        square = (power / max(power[b].max(), power[:, a].max())) @ power
+        square /= square.max()
+        tolerance = _SETTLED_ULPS * len(mat) * np.spacing(square)
+        settled = (np.abs(square - power) <= tolerance).all()
+        power = square
+        if settled:
+            break
+    else:
+        raise ValueError(
+            f"the squares of the matrix did not settle within {_SQUARINGS_MAX} "
+            "squarings; it is too close to reducible for its Perron data"
+        )
+    row, col = np.unravel_index(np.argmax(power), power.shape)
+    nu, h = power[:, col].copy(), power[row].copy()
+    lam = float(h @ mat @ nu) / float(h @ nu)
     nu = nu / nu.sum()
     h = h / float(nu @ h)
     residual = max(
@@ -192,15 +225,6 @@ def perron_eigendata(matrix, states=None) -> PerronData:
             f"Perron eigendata did not reach the required residual: {residual:.3e}"
         )
     return PerronData(lam=lam, h=h, nu=nu, states=tuple(states), residual=residual)
-
-
-def _dense_leading(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    eigvals, vecs = np.linalg.eig(mat)
-    i = int(np.argmax(eigvals.real))
-    lam = float(eigvals[i].real)
-    v = vecs[:, i]
-    v = v / v[int(np.argmax(np.abs(v)))]
-    return lam, np.abs(v.real)
 
 
 def normalize_potential(potential: Potential, perron: PerronData) -> Potential:
@@ -226,14 +250,16 @@ def normalize_potential(potential: Potential, perron: PerronData) -> Potential:
 class GibbsSystem:
     """The invariant Gibbs state of a depth-k potential on a mixing SFT.
 
-    Construction runs the full pipeline (transfer matrix, Perron data,
-    potential normalisation, state weights); instances are immutable and
-    safe to share.  The pipeline runs on the potential less c, its largest
-    finite value: the shift leaves the normalised potential as it is, and
-    keeps every weight exp(value - c) at most 1, so a potential whose own
-    weights would overflow or vanish as floats still builds.  ``perron`` is
-    therefore the Perron data of that shifted matrix, whose eigenvalue is
-    lam * exp(-c); ``potential`` keeps the values as given.
+    Construction runs the full pipeline (transfer matrix, Perron data by
+    repeated squaring, potential normalisation, state weights), with no
+    dense eigensolver or other ``numpy.linalg`` routine; instances are
+    immutable and safe to share.  The pipeline runs on the potential less
+    c, its largest finite value: the shift leaves the normalised potential
+    as it is, and keeps every weight exp(value - c) at most 1, so a
+    potential whose own weights would overflow or vanish as floats still
+    builds.  ``perron`` is therefore the Perron data of that shifted
+    matrix, whose eigenvalue is lam * exp(-c); ``potential`` keeps the
+    values as given.
     """
 
     # the fiber measure is the same on every environment

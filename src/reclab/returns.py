@@ -27,8 +27,8 @@ here, the third, Monte Carlo, in ``reclab.sampling``:
 Each engine checks the target with the model's ``validate_target`` and
 reads only the protocol listed in ``reclab.models``: the DP ``dp_width``
 and ``dp_tables`` (whose chain ``checks.check_psi_mixing`` reads too; the
-DP reads each environment's tables whole once, then a chunk at a time from
-a start position); enumeration a complete ``alphabet``, ``depth`` and
+DP reads each environment's tables twice, a chunk of positions at a time
+from a start position); enumeration a complete ``alphabet``, ``depth`` and
 ``symbol_weight_matrix``, or ``fiber_cylinder_mass`` per word when
 ``depth`` > 1.  ``expected_return_count``, the exact mean, reads the
 per-offset placement masses of ``_placement_suffix``, as the moment layer
@@ -59,6 +59,9 @@ DEFAULT_R_MAX = 64
 # positions this small stays in cache, and memory does not grow with the
 # horizon
 _OPERATOR_SLAB_FLOATS = 1 << 14
+# floats per chain state of the weight tables the exact DP's first pass reads
+# at a time: a chunk of _TABLE_CHUNK_FLOATS // dp_width positions
+_TABLE_CHUNK_FLOATS = 1 << 14
 
 
 class BudgetError(RuntimeError):
@@ -186,10 +189,11 @@ def exact_count_distributions(
     bit, from one DP that steps the environments together.
 
     ``budget_cells`` applies per environment, and is checked before any
-    table is built.  Each environment's weight tables are built whole once,
-    to find where they stop changing, and then again a chunk of positions at
-    a time (``dp_tables`` from a start position), so memory does not grow
-    with environments times horizon.
+    table is built.  Each environment's weight tables are read a chunk of
+    positions at a time (``dp_tables`` from a start position): all of them
+    once, to find where they stop changing, and those before that again, to
+    step them; so memory grows with neither the horizon nor the
+    environments.
     """
     if not envs:
         raise ValueError("need at least one environment")
@@ -223,13 +227,17 @@ def _exact_dp(model, envs, tw, length, r_max):
     their masses and the tables of positions start..stop-1: ``tables[i, a,
     c, d]`` is the mass of reading symbol a as the (start + i)-th symbol
     after those while the chain moves from state d to state c; the last
-    holds for every later symbol.  A first pass reads each environment's
-    tables whole, one at a time (environment 0's call also gives the
-    symbols, states and masses), and ``_stack_steps`` reads them again a
-    chunk of positions at a time.  Each step applies a linear operator to
-    the table: a count-preserving part and an emitting part that shifts the
-    count axis (the last bin is absorbing).  Both parts are linear in the
-    weight table (``_step_operators``).
+    holds for every later symbol, up to stop or past it.  A first pass reads
+    each environment's tables, one environment at a time, in chunks of
+    ``_TABLE_CHUNK_FLOATS`` // ``dp_width`` positions (environment 0's first
+    call also gives the symbols, states and masses): it ORs the weights
+    that are ever nonzero over the chunks, finds the last change across
+    their edges and keeps the last table; a chunk shorter than asked for
+    ends the pass.  ``_stack_steps`` reads the tables again a chunk of
+    positions at a time.  Each step applies a linear operator to the table:
+    a count-preserving part and an emitting part that shifts the count axis
+    (the last bin is absorbing).  Both parts are linear in the weight table
+    (``_step_operators``).
 
     Each environment is stepped up to its ``steady`` position, the last
     change of its tables; from there its steps go to ``_counting_steps``
@@ -237,7 +245,8 @@ def _exact_dp(model, envs, tw, length, r_max):
     a run on its own.  The environments whose reachable joint states agree
     step together (``_stack_steps``).  Returns the (E, bins) laws.
     """
-    alphabet, states, init, tables = model.dp_tables(envs[0], tw, length, 0)
+    chunk = max(1, _TABLE_CHUNK_FLOATS // model.dp_width(tw))
+    alphabet, states, init, tables = model.dp_tables(envs[0], tw, min(chunk, length), 0)
     first = len(states[0])
     if length < first:
         raise ValueError(f"word length {length} shorter than the chain memory {first}; "
@@ -263,17 +272,27 @@ def _exact_dp(model, envs, tw, length, r_max):
     counting_from = max(n - first, 0)
     groups, last = {}, []  # (live, used) -> (live, used, {environment: steady}); last tables
     for e, env in enumerate(envs):
-        if e:
-            tables = model.dp_tables(env, tw, length, 0)[3]
+        used, change, tail, rows = False, 0, None, tables if e == 0 else None
+        for start in range(0, length, chunk):
+            if rows is None:
+                rows = model.dp_tables(env, tw, min(start + chunk, length), start)[3]
+            used = used | (rows != 0).any(axis=0)
+            changes = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=(1, 2, 3)))
+            if changes.size:
+                change = start + int(changes[-1]) + 1
+            elif tail is not None and (rows[0] != tail[0]).any():  # at the chunk's edge
+                change = start
+            tail = rows[-1:].copy()
+            if len(rows) < min(chunk, length - start):  # the last table holds from here on
+                break
+            rows = None
+        last.append(tail)
+        tables = rows = None
         # joint states never reached from the initial support carry no mass
-        used = (tables != 0).any(axis=0)
         support = np.einsum("acd,akqr->cqdr", used, routes).reshape(joint, joint)
         live = _reachable(support, dist.any(axis=1))
-        changes = np.flatnonzero((tables[1:] != tables[:-1]).any(axis=(1, 2, 3)))[-1:].tolist()
         steady = groups.setdefault((live.tobytes(), used.tobytes()), (live, used, {}))[2]
-        steady[e] = max([counting_from] + [c + 1 for c in changes])
-        last.append(tables[-1:].copy())
-        del tables  # before the next environment's tables are built
+        steady[e] = max(counting_from, change)
     laws = np.empty((len(envs), bins))
     for live, used, steady in groups.values():
         blocks = _operator_blocks(routes, used, live)
@@ -456,7 +475,9 @@ def _block_operator(keep_op, emit_op, bins, block):
             shifted *= weight
             out[:, t] += shifted
         tables, out = out, tables
-    return np.ascontiguousarray(tables.transpose(1, 2, 0)).reshape(states, bins * states)
+    # the spare buffer takes the power in (state, count, state) order
+    np.copyto(out.reshape(states, bins, states), tables.transpose(1, 2, 0))
+    return out.reshape(states, bins * states)
 
 
 def _apply_block(power, dist):

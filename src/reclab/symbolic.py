@@ -51,9 +51,6 @@ class Word:
             return Word(self.symbols[idx])
         return self.symbols[idx]
 
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self.symbols + as_word(other).symbols)
-
     def to_text(self) -> str:
         return ",".join(str(s) for s in self.symbols)
 

@@ -178,10 +178,10 @@ def test_gibbs_environments_are_zero_windows_labelled_by_index(monkeypatch):
     monkeypatch.setattr(experiments, "environment_seed", no_seed_sequence)
     results = run_quenched(config)
     assert [res.env_index for res in results] == [0, 1, 2]
-    for i, res in enumerate(results):
+    for i, env in enumerate(experiments._environments(config, config.window_length())):
         drawn = system.draw_environment(config.window_length(), i)
-        assert np.array_equal(res.environment.window, drawn.window)
-        assert not res.environment.window.any()
+        assert np.array_equal(env.window, drawn.window)
+        assert not env.window.any()
 
 
 def test_marginal_model_rows_are_one_exact_law_over_its_index_seeded_draws(canonical_model):
@@ -193,10 +193,10 @@ def test_marginal_model_rows_are_one_exact_law_over_its_index_seeded_draws(canon
     )
     results = run_quenched(config)
     window = config.window_length()
-    for i, res in enumerate(results):
+    for i, env in enumerate(experiments._environments(config, window)):
         # the base's coordinates are drawn from the plain index, and never read
         drawn = canonical_model.draw_environment(window, i)
-        assert np.array_equal(res.environment.window, drawn.window)
+        assert np.array_equal(env.window, drawn.window)
     env = marg.draw_environment(window, 0)
     for k, n in enumerate(config.n_list):
         want = exact_count_distribution(marg, env, point.prefix(n), config.horizon(n), r_max=24)
@@ -434,9 +434,10 @@ def test_quenched_rows_are_the_direct_engine_calls(canonical_model):
     params = PolyaAeppliParams(t=(1.0 - theta) * config.t, p=theta)
     results = run_quenched(config)
     assert [res.env_index for res in results] == [0, 1, 2]
+    envs = experiments._environments(config, window)
     for i, res in enumerate(results):
         env = canonical_model.draw_environment(window, environment_seed(4, i))
-        assert np.array_equal(res.environment.window, env.window)
+        assert np.array_equal(envs[i].window, env.window)
         assert [(row.n, row.engine) for row in res.rows] == [
             (n, engine) for n in config.n_list for engine in ENGINES
         ]
@@ -470,7 +471,7 @@ def test_annealed_refuses_rows_of_one_key_with_different_r_max(small_config):
         provenance=dist.provenance,
     )
     quenched[1] = QuenchedResult(
-        env_index=1, environment=quenched[1].environment,
+        env_index=1,
         rows=(replace(row, distribution=shorter),) + quenched[1].rows[1:],
     )
     with pytest.raises(ValueError, match="r_max"):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,13 +106,91 @@ def test_perron_rejects_bad_matrices():
         perron_eigendata(np.array([[1e308, 1e308], [1e308, 0.0]]))
 
 
-def test_power_iteration_path():
-    rng = np.random.default_rng(0)
-    mat = rng.random((80, 80)) + 0.01
+def _eig_oracle(mat):
+    """(lam, h, nu) of a positive matrix from LAPACK, normalised as
+    ``perron_eigendata`` normalises them: sum(nu) = 1 and nu . h = 1."""
+    values, right = np.linalg.eig(mat)
+    lam = float(values.real.max())
+    nu = np.abs(right[:, np.argmax(values.real)].real)
+    values, left = np.linalg.eig(mat.T)
+    h = np.abs(left[:, np.argmax(values.real)].real)
+    nu = nu / nu.sum()
+    return lam, h / float(nu @ h), nu
+
+
+def _wielandt(k):
+    """The primitive k x k 0/1 matrix of largest primitivity exponent, (k - 1)**2 + 1."""
+    mat = np.zeros((k, k))
+    mat[np.arange(k - 1), np.arange(1, k)] = 1.0
+    mat[k - 1, :2] = 1.0
+    return mat
+
+
+def _two_state(eps):
+    return np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
+
+
+SQUARING_CASES = {
+    **{f"random-{k}": np.random.default_rng(0).random((k, k)) + 0.01 for k in (1, 2, 5, 80, 128)},
+    "golden-mean": np.array([[1.0, 1.0], [1.0, 0.0]]),
+    **{f"wielandt-{k}": _wielandt(k) for k in (3, 6, 10)},
+    **{f"two-state-{eps:g}": _two_state(eps) for eps in (1e-3, 1e-9, 1e-12)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARING_CASES))
+def test_squaring_matches_the_dense_eigensolver(name):
+    mat = SQUARING_CASES[name]
     data = perron_eigendata(mat)
-    dense = np.linalg.eigvals(mat)
-    assert data.lam == pytest.approx(float(np.max(dense.real)), rel=1e-9)
+    lam, h, nu = _eig_oracle(mat)
+    assert data.lam == pytest.approx(lam, rel=1e-12)
+    assert data.h == pytest.approx(h, rel=1e-10, abs=1e-10 * h.max())
+    assert data.nu == pytest.approx(nu, rel=1e-10, abs=1e-10 * nu.max())
+    assert (data.h > 0).all() and (data.nu > 0).all()
     assert data.residual <= 1e-10
+
+
+def test_squaring_keeps_eigenvectors_scaled_far_apart():
+    # D M D^-1 has M's eigenvalue and the eigenvectors D nu, h D^-1, which
+    # span e^-300 to 1; scaled by its largest entry, its weights go down to
+    # e^-600 (a potential plus a coboundary of size 300)
+    mat = SQUARING_CASES["random-5"]
+    scale = np.exp(-300.0 * np.linspace(0.0, 1.0, len(mat)))
+    spread = scale[:, None] * mat / scale[None, :]
+    top = spread.max()
+    spread = spread / top
+    assert spread.min() < math.exp(-590)
+    lam, h, nu = _eig_oracle(mat)
+    nu = scale * nu / float((scale * nu).sum())
+    h = h / scale / float(nu @ (h / scale))
+    data = perron_eigendata(spread)
+    assert data.lam == pytest.approx(lam / top, rel=1e-12)
+    # entry by entry: the smallest entries are as exact as the largest
+    assert data.nu == pytest.approx(nu, rel=1e-10)
+    assert data.h == pytest.approx(h, rel=1e-10)
+    assert data.residual <= 1e-10
+
+
+def test_squaring_refuses_a_matrix_too_close_to_reducible():
+    # 1 - 1e-30 rounds to 1: the off-diagonal mass only doubles with each
+    # square, and would need about 100 squarings to settle
+    with pytest.raises(ValueError, match="did not settle within 64 squarings"):
+        perron_eigendata(_two_state(1e-30))
+
+
+def test_a_gibbs_build_and_converge_run_no_dense_linear_algebra(monkeypatch, tmp_path):
+    from reclab import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg ran on the Gibbs converge path")
+
+    for name in ("eig", "eigvals", "eigh", "solve", "lstsq", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    golden = TransitionMatrix([[1, 1], [1, 0]])
+    system = GibbsSystem(golden, Potential.constant(0.0, golden, depth=2))
+    assert system.perron.lam == pytest.approx(PHI, abs=1e-12)
+    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "gibbs_markov.json"
+    assert cli.main(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0
 
 
 def test_a_128_state_system_is_the_product_measure():

@@ -41,7 +41,7 @@ from reclab import (
     run_quenched,
     theta_cluster_estimate,
 )
-from reclab import sampling
+from reclab import experiments, sampling
 from word_sampler import sampled_words
 
 
@@ -120,11 +120,12 @@ def test_toy_model_runs_a_quenched_experiment_over_several_environments():
         environments=3, master_seed=7, engines=("exact-dp",), r_max=10,
     )
     results = run_quenched(config)
+    envs = experiments._environments(config, config.window_length())
     for k, n in enumerate(config.n_list):
         laws = []
-        for res in results:
+        for res, env in zip(results, envs):
             row = res.rows[k]
-            alone = exact_count_distribution(toy, res.environment, config.point.prefix(n),
+            alone = exact_count_distribution(toy, env, config.point.prefix(n),
                                              row.horizon, r_max=config.r_max)
             assert (row.distribution.masses, row.distribution.tail_mass) == (
                 alone.masses, alone.tail_mass)
@@ -173,8 +174,8 @@ def _depth_three_golden_mean():
     ],
 )
 def test_dp_tables_from_a_start_position_are_rows_of_the_whole_call(model, target):
-    # the exact DP reads every model's tables whole once, then a chunk at a
-    # time; a chunk may be shorter than a Gibbs chain's memory
+    # the exact DP reads every model's tables a chunk at a time, twice; a
+    # chunk may be shorter than a Gibbs chain's memory
     length = 40
     env = model.draw_environment(length, 3)
     whole = model.dp_tables(env, target, length, 0)[3]

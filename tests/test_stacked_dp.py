@@ -19,7 +19,10 @@ from reclab import (
     CountableModel,
     Environment,
     ExperimentConfig,
+    GibbsSystem,
     PeriodicPoint,
+    Potential,
+    TransitionMatrix,
     TwoElementModel,
     Word,
     as_word,
@@ -121,13 +124,15 @@ def test_an_empty_environment_list_is_refused(horizon, budget_cells):
 
 
 class ShortStackModel(TwoElementModel):
-    """Gives the tables only up to the last change of the weights; the last
-    one holds for every later position."""
+    """Gives the tables only up to the last change of the weights from
+    ``start`` to the window's end; the last one holds for every later
+    position, asked for or not."""
 
     def dp_tables(self, env, tw, length, start=0):
-        alphabet, states, init, tables = super().dp_tables(env, tw, length, start)
-        changes = np.flatnonzero((tables[1:] != tables[:-1]).any(axis=(1, 2, 3)))
-        return alphabet, states, init, tables[: changes[-1] + 2 if changes.size else 1]
+        alphabet, states, init, later = super().dp_tables(env, tw, len(env.window), start)
+        changes = np.flatnonzero((later[1:] != later[:-1]).any(axis=(1, 2, 3)))
+        stop = min(length - start, changes[-1] + 2 if changes.size else 1)
+        return alphabet, states, init, later[:stop]
 
 
 @pytest.mark.parametrize("windows", [[(0, 1, 0)], [(0, 1, 0), (1, 0, 0), (1, 1, 1), (0, 0, 1)]])
@@ -217,3 +222,117 @@ def test_an_over_budget_stack_is_refused_before_any_table_or_draw(monkeypatch):
     with pytest.raises(BudgetError, match=r"engine exact-dp, n=4"):
         run_quenched(config)
     assert drawn == [] and built == []
+
+
+def _chunk_cases():
+    """(model, envs, target, horizon, r_max) of the cases above, by name."""
+    countable = CountableModel(0.5)
+    two_symbols = TwoElementModel(0.25, 0.6, 0.4)
+    short = ShortStackModel(0.3, 0.7, 0.5)
+    rng = np.random.default_rng(2)
+    cases = {
+        "two-element-tails": (TWO, _two_element_envs(1208), (0,) * 8, 1200, 12),
+        "two-symbols": (two_symbols, [two_symbols.draw_environment(205, seed)
+                                      for seed in range(6)], (0, 1, 1, 0, 1), 200, 16),
+        "one-environment": (TWO, [TWO.draw_environment(8, 0)], (0, 1, 0), 5, 5),
+        "short-stack": (short, [Environment(window=np.array(w + (w[-1],) * 45, dtype=np.int8))
+                                for w in [(0, 1, 0), (1, 0, 0), (1, 1, 1), (0, 0, 1)]],
+                        (0,) * 8, 40, 12),
+        # the last draws zeros only after position 20: symbol 0 is used in early chunks
+        "zero-weight": (ZeroableModel(), [Environment(window=w) for w in
+                                          [rng.random(43), np.zeros(43), rng.random(43),
+                                           np.where(np.arange(43) < 20, rng.random(43), 0.0)]],
+                        (0, 2, 0), 40, 8),
+    }
+    for target, horizon in [((3,) * 4, 616), ((3, 4, 3), 300), ((5, 3), 120)]:
+        cases[f"countable-{len(target)}"] = (
+            countable, [countable.draw_environment(horizon + len(target), seed)
+                        for seed in range(5)], target, horizon, 20)
+    return cases
+
+
+CHUNK_CASES = _chunk_cases()
+
+
+def _chunked(monkeypatch, model, target, positions):
+    """Let the DP's first pass read ``positions`` positions of tables at a time."""
+    monkeypatch.setattr(returns, "_TABLE_CHUNK_FLOATS", positions * model.dp_width(target))
+
+
+@pytest.mark.parametrize("positions", [1, 2, 3, 7])
+@pytest.mark.parametrize("name", sorted(CHUNK_CASES))
+def test_a_first_pass_in_small_chunks_keeps_the_bits(monkeypatch, name, positions):
+    model, envs, target, horizon, r_max = CHUNK_CASES[name]
+    stacked, alone = _laws(model, envs, target, horizon, r_max)
+    _chunked(monkeypatch, model, target, positions)
+    _assert_same_bits(exact_count_distributions(model, envs, target, horizon, r_max=r_max),
+                      stacked)
+    _assert_same_bits([exact_count_distribution(model, env, target, horizon, r_max=r_max)
+                       for env in envs], alone)
+
+
+def _spy_steady(monkeypatch):
+    """The ``steady`` positions of each ``_stack_steps`` call, in call order."""
+    calls = []
+    stack_steps = returns._stack_steps
+
+    def spy(model, envs, tw, last, steady, *args):
+        calls.append(dict(steady))
+        return stack_steps(model, envs, tw, last, steady, *args)
+
+    monkeypatch.setattr(returns, "_stack_steps", spy)
+    return calls
+
+
+@pytest.mark.parametrize("change", [13, 14, 15])
+def test_a_last_change_next_to_a_chunk_edge_is_found(monkeypatch, change):
+    # chunks of 7 positions: position 14 opens the third chunk
+    target, horizon = (0,) * 3, 40
+    window = np.zeros(horizon + len(target), dtype=np.int8)
+    window[change:] = 1
+    env = Environment(window=window)
+    calls = _spy_steady(monkeypatch)
+    whole = exact_count_distribution(TWO, env, target, horizon, r_max=8)
+    _chunked(monkeypatch, TWO, target, 7)
+    chunked = exact_count_distribution(TWO, env, target, horizon, r_max=8)
+    assert calls == [{0: change}, {0: change}]
+    _assert_same_bits([chunked], [whole])
+
+
+def test_a_model_that_answers_fewer_tables_ends_its_first_pass(monkeypatch):
+    # a constant window: the short-stack model answers one table however
+    # many positions are asked for, and so does a Gibbs system
+    golden = GibbsSystem(TransitionMatrix([[1, 1], [1, 0]]),
+                         Potential.constant(0.0, TransitionMatrix([[1, 1], [1, 0]]), depth=2))
+    short = ShortStackModel(0.3, 0.7, 0.5)
+    stack_steps = returns._stack_steps
+    for model, env in [(short, Environment(window=np.zeros(48, dtype=np.int8))),
+                       (golden, golden.draw_environment(48, 0))]:
+        calls, first_pass = [], []
+        dp_tables = type(model).dp_tables
+        monkeypatch.setattr(type(model), "dp_tables",
+                            lambda *a, dp_tables=dp_tables: calls.append(a) or dp_tables(*a))
+        monkeypatch.setattr(returns, "_stack_steps",
+                            lambda *a: first_pass.append(len(calls)) or stack_steps(*a))
+        _chunked(monkeypatch, model, (0,) * 8, 2)
+        exact_count_distribution(model, env, (0,) * 8, 40, r_max=12)
+        assert first_pass == [1]
+
+
+def test_the_first_pass_of_a_long_horizon_holds_a_chunk_of_its_tables(monkeypatch):
+    # the weights settle at position 40, so the DP runs in blocks from there
+    target, horizon = (0,) * 4, 600_000
+    length = horizon + len(target)
+    window = np.ones(length, dtype=np.int8)
+    window[:40] = np.random.default_rng(5).integers(0, 2, 40)
+    env = Environment(window=window)
+    whole = length * TWO.dp_width(target) * 8  # one table of floats per position
+    tracemalloc.start()
+    try:
+        chunked = exact_count_distribution(TWO, env, target, horizon, r_max=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 10
+    _chunked(monkeypatch, TWO, target, length)  # the whole table in one call
+    _assert_same_bits([chunked], [exact_count_distribution(TWO, env, target, horizon, r_max=8)])

@@ -18,7 +18,10 @@
 # then compares every CSV and every stdout (with its exit status, and without
 # the "wrote <path>" lines) byte for byte.  manifest.json is skipped: it holds
 # a timestamp.  Each difference is printed; the exit status is 1 if there is
-# any, 0 if there is none.
+# any, 0 if there is none.  Each differing CSV and theta/pa stdout is also
+# sized, a "size:" line per changed column or number (tools/size_changes.py):
+# its largest absolute and relative change, and for a CSV the row of each
+# with that row's L * 2^-52 (L = N_n + n), the exact DP's rounding.
 set -u
 
 rev=${1:-HEAD}
@@ -74,6 +77,12 @@ for f in $files; do
     if ! cmp -s "$tmp/rev/$f" "$tmp/work/$f"; then
         echo "differs: ${f#./} ($rev vs working tree)"
         diff "$tmp/rev/$f" "$tmp/work/$f" | head -n 20
+        case $f in
+            *.csv | ./theta_*.stdout | ./pa.stdout)
+                if [ -f "$tmp/rev/$f" ] && [ -f "$tmp/work/$f" ]; then
+                    python3 "$root/tools/size_changes.py" "$tmp/rev/$f" "$tmp/work/$f"
+                fi ;;
+        esac
         status=1
     fi
 done
