@@ -87,8 +87,44 @@ _BERNOULLI = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0)
 _HEAD_ROWS = (1 << 14) // len(_HEAD)
 
 # marginal weights, and Monte Carlo's cumulative weights, are computed this
-# many cells at a time
-_SLAB_CELLS = 1 << 20
+# many cells at a time (1 MB per (rows, symbols) array)
+_SLAB_CELLS = 1 << 17
+
+# nodes of the Gauss-Legendre rule that averages the countable weights over u
+_GL_NODES = 64
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], read-only.
+
+    Newton's method on P_n, all nodes at once, from the seeds
+    cos(pi (k + 3/4) / (n + 1/2)); P_n and P_{n-1} come from the three-term
+    recurrence j P_j = (2j - 1) x P_{j-1} - (j - 1) P_{j-2}, and
+    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1).  The steps stop once the largest
+    is under 2^-40; the weights are 2 / ((1 - x)(1 + x) P_n'(x)^2) at the
+    last nodes.  Nodes and weights are then symmetrised.  After the seeds
+    only + - * / run, so no LAPACK build or numpy version moves the rule's
+    bits, and the steps converge far past the seeds' last bits.
+    """
+    x = np.array([math.cos(math.pi * (n - k - 0.25) / (n + 0.5)) for k in range(n)])
+    largest_step = math.inf
+    while True:
+        prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+        slope = n * (x * p - prev) / ((x - 1.0) * (x + 1.0))
+        if largest_step < 2.0**-40:
+            break
+        step = p / slope
+        x = x - step
+        largest_step = np.max(np.abs(step))
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)
+    nodes, weights = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 @functools.cache
@@ -304,7 +340,9 @@ class CountableModel(_ProductModelBase):
     <= 4e-15 relative.  It lies 2.6-4.2e-13 relative from the inverse of
     the infinite series; switching to the series waits for the benchmark's
     countable references (checked to 1e-12) to be re-recorded.  Marginal
-    weights are computed on each call, by quadrature over u.
+    weights are computed on each call, by quadrature over u: the
+    ``_GL_NODES``-point Gauss-Legendre rule of ``_gauss_legendre`` (Newton's
+    method, no LAPACK), in slabs of at most ``_SLAB_CELLS`` cells.
 
     For sampling, the alphabet is truncated at ``alphabet_cutoff``;
     the certified bound on the truncated mass (uniform over u) is
@@ -331,7 +369,7 @@ class CountableModel(_ProductModelBase):
         )
         # Gauss-Legendre rule on [eps, 1] for marginal weights; 64 nodes is
         # far past the accuracy needed for this analytic integrand.
-        nodes, gl_weights = np.polynomial.legendre.leggauss(64)
+        nodes, gl_weights = _gauss_legendre(_GL_NODES)
         half = 0.5 * (1.0 - self.epsilon)
         self._gl_nodes = self.epsilon + half * (nodes + 1.0)
         self._gl_weights = gl_weights * half / (1.0 - self.epsilon)

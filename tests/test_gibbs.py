@@ -178,19 +178,24 @@ def test_squaring_refuses_a_matrix_too_close_to_reducible():
         perron_eigendata(_two_state(1e-30))
 
 
-def test_a_gibbs_build_and_converge_run_no_dense_linear_algebra(monkeypatch, tmp_path):
+def test_bench_builds_and_converge_runs_call_no_dense_linear_algebra(monkeypatch, tmp_path):
+    # Perron data by squaring, the countable Gauss-Legendre rule by Newton's
+    # method: neither bench config's converge run calls numpy.linalg
     from reclab import cli
 
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy.linalg ran on the Gibbs converge path")
+        raise AssertionError("numpy.linalg ran on a converge path")
 
-    for name in ("eig", "eigvals", "eigh", "solve", "lstsq", "svd", "inv"):
+    for name in ("eig", "eigvals", "eigh", "eigvalsh", "solve", "lstsq", "svd", "inv"):
         monkeypatch.setattr(np.linalg, name, refuse)
     golden = TransitionMatrix([[1, 1], [1, 0]])
     system = GibbsSystem(golden, Potential.constant(0.0, golden, depth=2))
     assert system.perron.lam == pytest.approx(PHI, abs=1e-12)
-    config = Path(__file__).resolve().parents[1] / "bench" / "configs" / "gibbs_markov.json"
-    assert cli.main(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0
+    configs = Path(__file__).resolve().parents[1] / "bench" / "configs"
+    for name in ("gibbs_markov", "countable_mc"):
+        out = tmp_path / name
+        assert cli.main(["converge", "--config", str(configs / f"{name}.json"),
+                         "--out", str(out)]) == 0
 
 
 def test_a_128_state_system_is_the_product_measure():

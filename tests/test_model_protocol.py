@@ -7,7 +7,8 @@ equal to enumeration; the streaming window counter keeps the integers of the
 plain slice comparisons; the cluster estimator counts the returns of the
 sampled words on every model family; the DP on a ``MarginalModel`` is the
 exact environment average of the quenched DP laws; every model's
-``dp_tables`` from a start position gives the rows of its whole call.
+``dp_tables`` from a start position gives the rows of its whole call, and
+a product model's rows sum to exactly 1.
 """
 
 import itertools
@@ -184,6 +185,24 @@ def test_dp_tables_from_a_start_position_are_rows_of_the_whole_call(model, targe
         assert 1 <= len(chunk) <= stop - start
         held, want = _held(chunk, 0, stop - start), _held(whole, start, stop)
         assert held.shape == want.shape and held.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "model, targets",
+    [
+        pytest.param(TWO, [(0,), (0, 1, 0)], id="two-element"),
+        pytest.param(CountableModel(0.5), [(3,), (3, 4, 10)], id="countable"),
+        pytest.param(MarginalModel(CountableModel(0.5)), [(5,), (3, 40, 7)], id="marginal"),
+    ],
+)
+def test_product_model_dp_rows_sum_to_one(model, targets):
+    # the lumped symbol takes 1 minus the others' sum, so no row loses mass
+    length = 5000
+    env = model.draw_environment(length, 2)
+    for target in targets:
+        rows = model.dp_tables(env, target, length, 0)[3][:, :, 0, 0]
+        assert len(rows) == length and np.all(rows >= 0.0)
+        assert np.all(rows.sum(axis=1) == 1.0)
 
 
 @pytest.mark.parametrize(

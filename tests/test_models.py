@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from reclab import (
     monte_carlo_count_distribution,
 )
 from reclab import sampling
-from reclab.models import _NORMALIZER_TERMS, _normalizers, ratio_convergence
+from reclab.models import (
+    _GL_NODES, _NORMALIZER_TERMS, _gauss_legendre, _normalizers, ratio_convergence,
+)
 
 
 @pytest.fixture(scope="module")
@@ -395,3 +398,62 @@ def test_marginal_cumulative_weights_are_the_tiled_cumsum(monkeypatch):
     # the weights stay bound to the environment's window
     with pytest.raises(ValueError, match="window overflow"):
         sampling._class_bounds(model, env, [3], 31)
+
+
+def _peak_bytes(call) -> int:
+    """The ``tracemalloc`` peak of ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gauss_legendre_nodes_are_the_leggauss_nodes():
+    # numpy's rule (eigenvalues plus one Newton step) is a test-only oracle
+    nodes, _ = _gauss_legendre(_GL_NODES)
+    oracle, _ = np.polynomial.legendre.leggauss(_GL_NODES)
+    assert np.all(np.abs(nodes - oracle) <= 2 * np.spacing(np.abs(oracle)))
+    assert np.all(np.diff(nodes) > 0.0)
+
+
+def test_gauss_legendre_integrates_every_monomial_through_degree_127():
+    nodes, weights = _gauss_legendre(_GL_NODES)
+    for k in range(2 * _GL_NODES):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(weights * nodes**k) - want) <= 1e-14
+
+
+def test_gauss_legendre_rule_is_symmetric_and_repeats_its_bits():
+    nodes, weights = _gauss_legendre.__wrapped__(_GL_NODES)
+    again = _gauss_legendre.__wrapped__(_GL_NODES)
+    assert nodes.tobytes() == again[0].tobytes() and weights.tobytes() == again[1].tobytes()
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+def test_countable_marginal_weights_are_the_leggauss_ones_to_four_ulps(monkeypatch):
+    symbols = [3, 4, 10, 1000, 16384, 10**6]
+    got = CountableModel(0.5).marginal_symbol_weights(symbols)
+    monkeypatch.setattr("reclab.models._gauss_legendre", np.polynomial.legendre.leggauss)
+    want = CountableModel(0.5).marginal_symbol_weights(symbols)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+def test_weight_slabs_keep_their_bits_in_bounded_memory(monkeypatch):
+    # Monte Carlo's cumulative weights up to symbol 2000, and the marginal
+    # weights of 20,000 symbols: each takes many slabs, in a few MB at most,
+    # with the bits of one slab eight times as large
+    model = CountableModel(0.5)
+    env = model.draw_environment(3079, 0)
+    symbols = np.arange(3, 20_003)
+    bounds = sampling._class_bounds(model, env, [2000], 3079)
+    marginal = model.marginal_symbol_weights(symbols)
+    assert _peak_bytes(lambda: sampling._class_bounds(model, env, [2000], 3079)) < 6e6
+    assert _peak_bytes(lambda: model.marginal_symbol_weights(symbols)) < 6e6
+    monkeypatch.setattr(sampling, "_SLAB_CELLS", 8 * sampling._SLAB_CELLS)
+    monkeypatch.setattr("reclab.models._SLAB_CELLS", sampling._SLAB_CELLS)
+    wide = sampling._class_bounds(model, env, [2000], 3079)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(bounds, wide))
+    assert model.marginal_symbol_weights(symbols).tobytes() == marginal.tobytes()

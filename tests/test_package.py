@@ -4,8 +4,8 @@
 needs: neither the Gibbs numerics on a product config nor the self-check
 module on any; ``reclab converge`` loads ``numpy.random``, and with it
 OpenSSL's ``_hashlib``, only for a model whose environments are random
-draws.  The top-level names are lazy and are the ones the package has always
-exported.
+draws, and ``numpy.polynomial`` for none.  The top-level names are lazy and
+are the ones the package has always exported.
 """
 
 import subprocess
@@ -85,6 +85,8 @@ def test_converge_loads_numpy_random_only_to_draw_environments(tmp_path, config,
     assert ("numpy.random" in loaded) == random
     # the manifest digests need no OpenSSL; numpy.random loads it (secrets, hmac)
     assert ("_hashlib" in loaded) == random
+    # the countable Gauss-Legendre rule is built in house
+    assert "numpy.polynomial" not in loaded
 
 
 def test_top_level_names_are_the_exported_ones_and_resolve():

@@ -13,6 +13,9 @@
 #            quenched DP on a single environment) and
 #            tests/configs/wide_counts.json (a Gibbs run whose wide count axis
 #            takes the block path, its lagged table in slabs of count columns),
+#            tests/configs/long_prefix.json (a countable target symbol 300,
+#            whose 298-symbol alphabet prefix takes Monte Carlo's cumulative
+#            weights in several slabs),
 #   theta    on configs/*.json, the two bench configs and one_environment.json,
 #   pa --t 2 --p 0.5, and selfcheck,
 # then compares every CSV and every stdout (with its exit status, and without
@@ -59,6 +62,8 @@ run_all() {
         --out "$out/converge_long_tails"
     run "$src" "$out" converge_wide_counts converge --config tests/configs/wide_counts.json \
         --out "$out/converge_wide_counts"
+    run "$src" "$out" converge_long_prefix converge --config tests/configs/long_prefix.json \
+        --out "$out/converge_long_prefix"
     config=tests/configs/one_environment.json
     run "$src" "$out" converge_one_environment converge --config "$config" \
         --out "$out/converge_one_environment"
