@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polya_aeppli import CountDistribution, PolyaAeppliParams, pa_pmf_table
+from .polya_aeppli import CountDistribution, PolyaAeppliParams, check_r_max, pa_pmf_table
 from .returns import (
     DEFAULT_BUDGET_CELLS,
     DEFAULT_BUDGET_WORDS,
@@ -109,6 +109,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integral(getattr(self, name), name))
         for name in ("master_seed", "r_max"):
             object.__setattr__(self, name, _nonnegative(getattr(self, name), name))
+        check_r_max(self.r_max)
         object.__setattr__(self, "n_list", tuple(_integral(n, "n_list") for n in self.n_list))
         object.__setattr__(self, "engines", tuple(self.engines))
         for engine in self.engines:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,37 @@ def test_pa_rejects_bad_params(tmp_path, capsys):
     rc = main(["pa", "--t", "1", "--p", "1.2", "--out", str(tmp_path)])
     assert rc == 2
     assert "p must lie in [0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--t", "800", "--p", "0.5"], "masses vanished"),  # e^-800 underflows
+        (["--t", "1", "--p", "0.999"], "masses vanished"),
+        (["--t", "1", "--p", "0.9999"], "exceeded 200000 entries"),
+    ],
+    ids=["underflow", "p-0.999", "p-0.9999"],
+)
+def test_pa_refusals_exit_2_with_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "pa"
+    assert main(["pa", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
+def test_pa_refuses_an_r_max_past_the_cap_before_any_table(tmp_path, capsys):
+    out = tmp_path / "pa"
+    tracemalloc.start()
+    try:
+        rc = main(["pa", "--t", "1", "--p", "0.5", "--r-max", "200001", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err == "error: r_max must be at most 200000, got 200001\n"
+    assert not out.exists()
+    assert peak < 1 << 20
 
 
 def test_theta_two_element(tmp_path, capsys):

@@ -27,6 +27,7 @@ from reclab import (
 )
 from reclab import experiments
 from reclab.experiments import environment_seed
+from reclab.polya_aeppli import R_MAX_CAP
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,17 @@ def test_config_validation(canonical_model):
         ExperimentConfig(canonical_model, point, (4, 6), 1.0, engines=("monte-carlo",))
     with pytest.raises(ValueError, match="master_seed must be a nonnegative integer"):
         ExperimentConfig(canonical_model, point, (4, 6), 1.0, master_seed=-1)
+
+
+def test_config_refuses_an_r_max_past_the_cap(canonical_model):
+    # a Monte-Carlo-only run never meets the DP's budget; the cap refuses
+    # its histogram of r_max + 2 bins up front
+    point = PeriodicPoint(Word((0,)))
+    ExperimentConfig(canonical_model, point, (4,), 1.0, trials=10, engines=("monte-carlo",),
+                     r_max=R_MAX_CAP)
+    with pytest.raises(ValueError, match=f"r_max must be at most {R_MAX_CAP}, got 200001"):
+        ExperimentConfig(canonical_model, point, (4,), 1.0, trials=10, engines=("monte-carlo",),
+                         r_max=R_MAX_CAP + 1)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from reclab import (
     pa_pmf_table,
     pa_sample_many,
 )
+from reclab.polya_aeppli import R_MAX_CAP
 
 
 def test_pmf_at_zero_is_exp_minus_t():
@@ -42,8 +44,8 @@ def test_poisson_reduction():
             assert abs(pa_pmf(params, r) - want) <= 1e-12 * want
 
 
-def test_pmf_log_space_matches_direct_region():
-    # values straddling the direct/log-space switchover must agree
+def test_pmf_matches_the_direct_sum_past_order_fifty():
+    # the closed-form sum at an order whose terms span many magnitudes
     params = PolyaAeppliParams(t=4.0, p=0.6)
     direct = sum(
         params.p ** (55 - j)
@@ -69,6 +71,43 @@ def test_parameter_validation():
         pa_pmf(PolyaAeppliParams(t=1.0, p=0.5), -1)
 
 
+def _exact_scaled_mass(t: float, p: float, r: int) -> Fraction:
+    """e^t P(r) = sum_j p^(r-j) (1-p)^j t^j / j! C(r-1, j-1) in exact rationals."""
+    t, p = Fraction(t), Fraction(p)
+    if r == 0:
+        return Fraction(1)
+    return sum(p ** (r - j) * (1 - p) ** j * t**j / math.factorial(j) * math.comb(r - 1, j - 1)
+               for j in range(1, r + 1))
+
+
+@pytest.mark.parametrize("t", [0.05, 1.0, 10.0])
+@pytest.mark.parametrize("p", [0.0, 0.5, 0.95, 0.99])
+def test_pmf_table_against_exact_rationals(t, p):
+    scale = math.exp(-t)
+    masses = pa_pmf_table(PolyaAeppliParams(t=t, p=p), r_max=100).masses
+    for r in (0, 1, 2, 7, 33, 100):
+        want = _exact_scaled_mass(t, p, r)
+        assert abs(Fraction(masses[r] / scale) - want) <= Fraction(1, 10**14) * want
+
+
+@pytest.mark.parametrize("t,p", [(0.5, 0.0), (2.0, 0.5), (10.0, 0.95)])
+def test_fixed_table_has_the_bits_of_the_adaptive_table(t, p):
+    params = PolyaAeppliParams(t=t, p=p)
+    adaptive = pa_pmf_table(params)
+    fixed = pa_pmf_table(params, r_max=adaptive.r_max)
+    assert fixed.masses == adaptive.masses
+    half = adaptive.r_max // 2
+    assert pa_pmf_table(params, r_max=half).masses == adaptive.masses[: half + 1]
+    assert pa_pmf(params, adaptive.r_max) == adaptive.masses[-1]
+
+
+def test_r_max_past_the_cap_is_refused_before_any_table():
+    params = PolyaAeppliParams(t=1.0, p=0.5)
+    assert pa_pmf_table(params, r_max=R_MAX_CAP).r_max == R_MAX_CAP
+    with pytest.raises(ValueError, match=f"r_max must be at most {R_MAX_CAP}, got 200001"):
+        pa_pmf_table(params, r_max=R_MAX_CAP + 1)
+
+
 def test_table_fixed_truncation():
     table = pa_pmf_table(PolyaAeppliParams(t=1.0, p=0.0), r_max=0)
     assert table.masses == (pytest.approx(math.exp(-1.0)),)
@@ -91,15 +130,15 @@ def test_partial_sums_reach_one(t, p):
 
 def test_adaptive_table_moments():
     # adaptive truncation must carry enough mass for mean/variance work
-    for t in (0.5, 2.0, 5.0):
-        for p in (0.0, 0.5, 0.9):
-            table = pa_pmf_table(PolyaAeppliParams(t=t, p=p))
-            assert abs(table.total() - 1.0) < 1e-10
-            mean = sum(r * m for r, m in enumerate(table.masses))
-            second = sum(r * r * m for r, m in enumerate(table.masses))
-            want_mean, want_var = pa_mean_variance(PolyaAeppliParams(t=t, p=p))
-            assert mean == pytest.approx(want_mean, abs=1e-8)
-            assert second - mean**2 == pytest.approx(want_var, abs=1e-7)
+    cases = [(t, p) for t in (0.5, 2.0, 5.0) for p in (0.0, 0.5, 0.9)] + [(10.0, 0.95)]
+    for t, p in cases:
+        table = pa_pmf_table(PolyaAeppliParams(t=t, p=p))
+        assert abs(table.total() - 1.0) < 1e-10
+        mean = sum(r * m for r, m in enumerate(table.masses))
+        second = sum(r * r * m for r, m in enumerate(table.masses))
+        want_mean, want_var = pa_mean_variance(PolyaAeppliParams(t=t, p=p))
+        assert mean == pytest.approx(want_mean, abs=1e-8)
+        assert second - mean**2 == pytest.approx(want_var, abs=1e-7)
 
 
 def test_binomial_moment_values():

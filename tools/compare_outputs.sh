@@ -17,7 +17,9 @@
 #            whose 298-symbol alphabet prefix takes Monte Carlo's cumulative
 #            weights in several slabs),
 #   theta    on configs/*.json, the two bench configs and one_environment.json,
-#   pa --t 2 --p 0.5, and selfcheck,
+#   pa --t 2 --p 0.5, pa --t 10 --p 0.95 (an adaptive table of ~1,500 entries,
+#   stopped by its moment residuals), pa --t 0.5 --p 0.3 --r-max 2000 (a long
+#   fixed table), and selfcheck,
 # then compares every CSV and every stdout (with its exit status, and without
 # the "wrote <path>" lines) byte for byte.  manifest.json is skipped: it holds
 # a timestamp.  Each difference is printed; the exit status is 1 if there is
@@ -69,6 +71,8 @@ run_all() {
         --out "$out/converge_one_environment"
     run "$src" "$out" theta_one_environment theta --config "$config"
     run "$src" "$out" pa pa --t 2 --p 0.5 --out "$out/pa"
+    run "$src" "$out" pa_adaptive pa --t 10 --p 0.95 --out "$out/pa_adaptive"
+    run "$src" "$out" pa_fixed pa --t 0.5 --p 0.3 --r-max 2000 --out "$out/pa_fixed"
     run "$src" "$out" selfcheck selfcheck
 }
 
@@ -83,7 +87,7 @@ for f in $files; do
         echo "differs: ${f#./} ($rev vs working tree)"
         diff "$tmp/rev/$f" "$tmp/work/$f" | head -n 20
         case $f in
-            *.csv | ./theta_*.stdout | ./pa.stdout)
+            *.csv | ./theta_*.stdout | ./pa*.stdout)
                 if [ -f "$tmp/rev/$f" ] && [ -f "$tmp/work/$f" ]; then
                     python3 "$root/tools/size_changes.py" "$tmp/rev/$f" "$tmp/work/$f"
                 fi ;;
